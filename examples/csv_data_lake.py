@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.bundle import open_service
 from repro.bundle.__main__ import main as bundle_cli
 from repro.data import ColumnCorpus, read_csv_table
-from repro.serve import GemService
 
 
 def build_demo_lake(root: Path) -> None:
@@ -94,7 +94,7 @@ def main() -> None:
             c for c in corpus if c.table_id == "employees" and c.name == "age"
         )
         print("\ncolumns most similar to employees.age:")
-        with GemService.from_bundle(bundle) as service:
+        with open_service(bundle) as service:
             result = service.search([query], k=4)
             for cid, score in zip(result.ids[0], result.scores[0]):
                 print(f"  {cid:16s} cos={score:.3f}")

@@ -14,8 +14,8 @@ import tempfile
 from pathlib import Path
 
 from repro import make_gds
+from repro.bundle import open_service
 from repro.bundle.__main__ import main as bundle_cli
-from repro.serve import GemService
 
 
 def run_cli(*args: str) -> None:
@@ -58,7 +58,7 @@ def main() -> None:
         corpus = make_gds()
         query = corpus[0]
         print(f"\nquery column: {query.name!r} ({query.fine_label})")
-        with GemService.from_bundle(bundle) as service:
+        with open_service(bundle) as service:
             result = service.search([query], k=5)
             for rank, (cid, score) in enumerate(
                 zip(result.ids[0], result.scores[0]), 1

@@ -16,14 +16,13 @@ Drive it from the shell (``python -m repro.bundle fit|index|serve|verify|
 sweep``, see :mod:`repro.bundle.__main__` and ``docs/cli.md``) or from
 Python::
 
-    from repro.bundle import fit_stage, index_stage, verify_bundle
+    from repro.bundle import fit_stage, index_stage, open_service, verify_bundle
 
     fit_stage("lake.bundle", "synthetic:gds:tiny", GemConfig.fast())
     index_stage("lake.bundle", backend="ivf")
     assert verify_bundle("lake.bundle") == []
 
-    from repro.serve import GemService
-    with GemService.from_bundle("lake.bundle") as service:
+    with open_service("lake.bundle") as service:
         hits = service.search(new_corpus, k=10)
 
 ``sweep`` (:mod:`repro.bundle.sweep`) extends the warm-started BIC sweep

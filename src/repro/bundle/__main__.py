@@ -136,9 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("bundle", help="bundle directory")
 
-    sweep = sub.add_parser(
-        "sweep", help="rank a GemConfig grid by a registered objective"
-    )
+    sweep = sub.add_parser("sweep", help="rank a GemConfig grid by an objective")
     sweep.add_argument("bundle", help="bundle directory")
     sweep.add_argument(
         "--grid",
@@ -152,8 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--objective",
         default="precision_at_k",
-        help="registered objective: precision_at_k, recall_at_k, "
-        "index_recall_at_k, bic",
+        help="objective: precision_at_k, recall_at_k, index_recall_at_k, bic",
     )
     sweep.add_argument(
         "--corpus",

@@ -218,7 +218,9 @@ def open_service(bundle_dir: str | Path, **service_kwargs: object):
     the bundle's WAL — writes acknowledged after the last checkpoint are
     replayed before the service takes traffic. Records the serve stage in
     the manifest (the WAL artifact carries no checksum: it legitimately
-    grows while the service runs).
+    grows while the service runs). ``service_kwargs`` are
+    :class:`~repro.serve.GemService` arguments: the batching, deadline
+    and admission policy.
 
     The caller owns the returned service (``close()`` or use as a context
     manager).

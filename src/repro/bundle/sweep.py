@@ -1,4 +1,4 @@
-"""Deterministic config sweeps with pluggable retrieval-quality objectives.
+"""Deterministic config sweeps ranked by retrieval-quality objectives.
 
 The paper's §4 sensitivity analysis sweeps GemConfig knobs (component
 count, value transform, index backend and its compression knobs) by hand;
@@ -11,14 +11,12 @@ objective and a seed; the driver
   sweep seed, fanning trials out over a thread pool whose worker count
   never affects results (trials are independent and results are
   collected in submission order),
-* scores each trial through the :mod:`repro.gmm.selection` objective
-  registry — the same plug-in point the BIC sweep uses, extended here
-  with retrieval objectives — and
+* scores each trial with one of the objectives below, and
 * writes a ranked table into the bundle via the atomic JSON writer with
   sorted keys, so two runs at the same seed produce **byte-identical**
   ``sweep.json`` files (no wall-clock, no float formatting drift).
 
-Objectives registered by this module:
+Objectives:
 
 * ``precision_at_k`` / ``recall_at_k`` (maximize) — the paper's §4.1.2
   retrieval metrics (:func:`~repro.evaluation.precision_recall_at_k`,
@@ -29,8 +27,9 @@ Objectives registered by this module:
   this to sweep *index* knobs (``index_backend``, ``index_n_lists``,
   ``index_n_probe``, ``index_pq_*``), where the embedding space is fixed
   and the question is what the compressed backend gives up.
-* ``bic`` (minimize, registered by :mod:`repro.gmm.selection`) — the
-  model-selection criterion of the PR 2 warm-started sweep.
+* ``bic`` (minimize) — the shared mixture's BIC on the data it was
+  fitted on, the criterion :func:`~repro.gmm.select_n_components_bic`
+  minimises.
 """
 
 from __future__ import annotations
@@ -53,28 +52,24 @@ from repro.core.config import GemConfig
 from repro.core.gem import GemEmbedder
 from repro.core.persistence import atomic_write_json, file_checksum
 from repro.evaluation.precision import precision_recall_at_k
-from repro.gmm.selection import (
-    ObjectiveContext,
-    SweepObjective,
-    get_objective,
-    register_objective,
-)
 
 #: Neighbour count used by the index-recall objective (capped at n-1).
 INDEX_RECALL_K = 10
 
 
-def _precision_objective(ctx: ObjectiveContext) -> float:
-    return float(
-        precision_recall_at_k(ctx.embeddings, list(ctx.labels)).macro_precision
-    )
+# Every objective scores one fitted trial: the embedder, the corpus it was
+# fitted on, that corpus's dense embeddings and its per-column labels.
 
 
-def _recall_objective(ctx: ObjectiveContext) -> float:
-    return float(precision_recall_at_k(ctx.embeddings, list(ctx.labels)).macro_recall)
+def _precision_objective(gem, corpus, embeddings, labels) -> float:
+    return float(precision_recall_at_k(embeddings, list(labels)).macro_precision)
 
 
-def _index_recall_objective(ctx: ObjectiveContext) -> float:
+def _recall_objective(gem, corpus, embeddings, labels) -> float:
+    return float(precision_recall_at_k(embeddings, list(labels)).macro_recall)
+
+
+def _index_recall_objective(gem, corpus, embeddings, labels) -> float:
     """Recall@k of the configured backend against an exact oracle.
 
     Builds two indexes over the trial's embedding rows — the configured
@@ -85,8 +80,8 @@ def _index_recall_objective(ctx: ObjectiveContext) -> float:
     """
     from repro.index import GemIndex
 
-    cfg = ctx.gem.config
-    X = np.asarray(ctx.embeddings)
+    cfg = gem.config
+    X = np.asarray(embeddings)
     n = X.shape[0]
     if n < 2:
         return 1.0
@@ -120,17 +115,24 @@ def _index_recall_objective(ctx: ObjectiveContext) -> float:
     return hits / total if total else 1.0
 
 
-register_objective(
-    SweepObjective(name="precision_at_k", direction="maximize", fn=_precision_objective)
-)
-register_objective(
-    SweepObjective(name="recall_at_k", direction="maximize", fn=_recall_objective)
-)
-register_objective(
-    SweepObjective(
-        name="index_recall_at_k", direction="maximize", fn=_index_recall_objective
-    )
-)
+def _bic_objective(gem, corpus, embeddings, labels) -> float:
+    if gem.gmm_ is None:
+        raise ValueError("bic objective requires a fitted shared GMM (fit_mode='stacked')")
+    # Score the mixture on the same stacked, value-transformed data it was
+    # fitted on — the quantity select_n_components_bic minimises per
+    # candidate — recomputed from the corpus so no fit-time state needs
+    # to be retained.
+    stacked = gem._apply_value_transform(corpus.stacked_values())
+    return float(gem.gmm_.bic(np.asarray(stacked).reshape(-1, 1)))
+
+
+#: Objective name -> (rank direction, scoring function).
+_OBJECTIVES = {
+    "precision_at_k": ("maximize", _precision_objective),
+    "recall_at_k": ("maximize", _recall_objective),
+    "index_recall_at_k": ("maximize", _index_recall_objective),
+    "bic": ("minimize", _bic_objective),
+}
 
 
 _CONFIG_FIELDS = {f.name for f in GemConfig.__dataclass_fields__.values()}
@@ -161,19 +163,14 @@ def expand_grid(grid: dict[str, list]) -> list[dict]:
     ]
 
 
-def _run_trial(
-    base: GemConfig, params: dict, corpus, labels, objective: SweepObjective, seed: int
-) -> dict:
+def _run_trial(base: GemConfig, params: dict, corpus, labels, score, seed: int) -> dict:
     """Fit + score one grid point; errors become a ranked-last record."""
     try:
         overrides = {"random_state": seed, **params}
         gem = GemEmbedder(config=base, **overrides)
         gem.fit(corpus)
         embeddings = gem.transform(corpus)
-        ctx = ObjectiveContext(
-            gem=gem, corpus=corpus, embeddings=embeddings, labels=labels
-        )
-        return {"params": params, "value": float(objective.fn(ctx))}
+        return {"params": params, "value": float(score(gem, corpus, embeddings, labels))}
     except Exception as exc:  # a bad grid point must not sink the sweep
         return {"params": params, "error": f"{type(exc).__name__}: {exc}"}
 
@@ -196,7 +193,9 @@ def run_sweep(
     content of ``sweep.json``).
     """
     bundle_dir = Path(bundle_dir)
-    obj = get_objective(objective)
+    if objective not in _OBJECTIVES:
+        raise KeyError(f"unknown sweep objective {objective!r}; known: {sorted(_OBJECTIVES)}")
+    direction, score = _OBJECTIVES[objective]
     try:
         manifest = read_manifest(bundle_dir)
     except FileNotFoundError:
@@ -221,14 +220,14 @@ def run_sweep(
     with ThreadPoolExecutor(max_workers=n_workers or 1) as pool:
         results = list(
             pool.map(
-                lambda params: _run_trial(base, params, corpus, labels, obj, seed),
+                lambda params: _run_trial(base, params, corpus, labels, score, seed),
                 trials,
             )
         )
     scored = [
         (i, r) for i, r in enumerate(results) if "value" in r
     ]
-    sign = -1.0 if obj.direction == "maximize" else 1.0
+    sign = -1.0 if direction == "maximize" else 1.0
     scored.sort(key=lambda item: (sign * item[1]["value"], item[0]))
     table = []
     for rank, (trial_idx, result) in enumerate(scored, start=1):
@@ -246,8 +245,8 @@ def run_sweep(
         if "error" in r
     ]
     document = {
-        "objective": obj.name,
-        "direction": obj.direction,
+        "objective": objective,
+        "direction": direction,
         "seed": seed,
         "corpus": canonical_spec,
         "grid": {name: list(grid[name]) for name in sorted(grid)},
@@ -267,7 +266,7 @@ def run_sweep(
         "sweep",
         artifact=SWEEP_ARTIFACT,
         checksum=file_checksum(sweep_path),
-        extra={"objective": obj.name, "n_trials": len(trials)},
+        extra={"objective": objective, "n_trials": len(trials)},
     )
     write_manifest(bundle_dir, manifest)
     return document

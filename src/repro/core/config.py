@@ -9,7 +9,6 @@ normalisation, stacked-vs-per-column fitting, value transform).
 from __future__ import annotations
 
 import dataclasses
-import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -23,6 +22,20 @@ _COMPOSITIONS = ("concatenation", "aggregation", "autoencoder")
 _FIT_ENGINES = ("auto", "batched", "serial")
 _INDEX_BACKENDS = ("exact", "ivf", "pq")
 _INDEX_DTYPES = ("float64", "float32")
+# Serving policy that archives and manifests written before it moved to
+# GemService still carry; never part of the model fingerprint, so it is
+# dropped on read without a warning.
+_RETIRED_KEYS = frozenset(
+    {
+        "serve_batch_window_ms",
+        "serve_max_batch",
+        "serve_max_workers",
+        "serve_deadline_ms",
+        "serve_max_pending",
+        "serve_degrade_pending",
+        "serve_degrade_latency_ms",
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -151,46 +164,6 @@ class GemConfig:
         PQ backend: re-score this many top ADC candidates per query
         exactly from the raw rows before the final top-k cut (0 disables;
         enabling keeps the raw rows resident alongside the codes).
-    serve_batch_window_ms:
-        Upper bound on how long a :class:`~repro.serve.GemService` batch
-        keeps collecting after its first request arrives. Collection seals
-        early — as soon as the batch fills or stops growing for a couple
-        of scheduler yields — so concurrent requests coalesce into one
-        vectorised ``transform``/``search`` pass (bit-identical to solo
-        calls) while an isolated request never idles out the window.
-        Under load, batches also keep collecting for the whole duration of
-        the previous batch's execution, which is the main batching engine.
-        ``0`` removes the linger entirely (execution-overlap batching
-        still applies).
-    serve_max_batch:
-        Maximum requests coalesced into one serving batch.
-    serve_max_workers:
-        Worker threads executing read batches in the serving layer (writes
-        are always applied by a single thread so snapshots publish in
-        order).
-    serve_deadline_ms:
-        Default per-request latency budget in the serving layer. A
-        request whose budget expires before its result is ready raises
-        ``DeadlineExceededError`` — the caller never blocks past it, even
-        against a wedged executor. Overridable per call; must be finite
-        (threading waits cannot take infinity — raise it instead of
-        disabling it).
-    serve_max_pending:
-        Bound on concurrently admitted serving requests. Past it, new
-        requests fast-fail with ``SheddingError`` instead of queueing
-        (admission control): a queued request past saturation costs
-        memory and someone else's deadline, a shed one costs
-        microseconds. Also the queue depth at which the degradation
-        breaker opens fully.
-    serve_degrade_pending:
-        Queue depth at which the serving layer starts trading quality for
-        latency (``DegradationPolicy``: IVF ``n_probe`` halves stepwise,
-        PQ re-ranking turns off) before shedding outright at
-        ``serve_max_pending``. Must not exceed ``serve_max_pending``.
-    serve_degrade_latency_ms:
-        Observed p99 request latency that also triggers degradation
-        (``None`` disables the latency trigger; queue depth still
-        applies).
     random_state:
         Seed threaded through every stochastic stage.
     """
@@ -230,13 +203,6 @@ class GemConfig:
     index_pq_subvectors: int = 8
     index_pq_codes: int = 256
     index_pq_rerank: int = 0
-    serve_batch_window_ms: float = 2.0
-    serve_max_batch: int = 64
-    serve_max_workers: int = 2
-    serve_deadline_ms: float = 10_000.0
-    serve_max_pending: int = 256
-    serve_degrade_pending: int = 64
-    serve_degrade_latency_ms: float | None = None
     random_state: RandomState = 0
 
     def __post_init__(self) -> None:
@@ -308,32 +274,6 @@ class GemConfig:
             raise ValueError(
                 f"index_pq_rerank must be >= 0, got {self.index_pq_rerank}"
             )
-        if self.serve_batch_window_ms < 0:
-            raise ValueError(
-                f"serve_batch_window_ms must be >= 0, got {self.serve_batch_window_ms}"
-            )
-        if self.serve_max_batch < 1:
-            raise ValueError(f"serve_max_batch must be >= 1, got {self.serve_max_batch}")
-        if self.serve_max_workers < 1:
-            raise ValueError(f"serve_max_workers must be >= 1, got {self.serve_max_workers}")
-        if not self.serve_deadline_ms > 0 or not math.isfinite(self.serve_deadline_ms):
-            raise ValueError(
-                f"serve_deadline_ms must be finite and > 0, got "
-                f"{self.serve_deadline_ms} (raise it instead of disabling it: "
-                "threading waits cannot take an infinite timeout)"
-            )
-        if self.serve_max_pending < 1:
-            raise ValueError(f"serve_max_pending must be >= 1, got {self.serve_max_pending}")
-        if not 1 <= self.serve_degrade_pending <= self.serve_max_pending:
-            raise ValueError(
-                f"serve_degrade_pending must be in [1, serve_max_pending="
-                f"{self.serve_max_pending}], got {self.serve_degrade_pending}"
-            )
-        if self.serve_degrade_latency_ms is not None and not self.serve_degrade_latency_ms > 0:
-            raise ValueError(
-                f"serve_degrade_latency_ms must be None or > 0, got "
-                f"{self.serve_degrade_latency_ms}"
-            )
 
     def with_features(
         self,
@@ -384,6 +324,8 @@ class GemConfig:
         version lacks (or miss ones it has); unknown keys are dropped
         with a warning — not silently, a typo'd hand-edited key must be
         noticed — and missing ones fall back to the dataclass defaults.
+        The retired ``serve_*`` serving-policy keys (now
+        :class:`~repro.serve.GemService` arguments) are dropped silently.
         Field values are re-validated by ``__post_init__``, so a
         hand-edited manifest cannot smuggle in an invalid configuration.
         """
@@ -391,7 +333,7 @@ class GemConfig:
         if "bic_candidates" in cfg_dict:
             cfg_dict["bic_candidates"] = tuple(cfg_dict["bic_candidates"])
         known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(cfg_dict) - known)
+        unknown = sorted(set(cfg_dict) - known - _RETIRED_KEYS)
         if unknown:
             warnings.warn(
                 f"ignoring unknown GemConfig keys in archive: {unknown}",

@@ -36,24 +36,6 @@ from repro.utils.preprocessing import l1_normalize
 from repro.utils.rng import RandomState, check_random_state, spawn_seeds
 
 
-# Constructor for GemEmbedder.serve(), installed by repro.serve at import
-# time (repro/serve/__init__.py). The inversion keeps the core → index →
-# serve layering acyclic (gemlint GEM-L01): core never imports the serving
-# layer, the serving layer registers itself with core.
-_SERVE_FACTORY = None
-
-
-def register_serve_factory(factory) -> None:
-    """Install the service constructor behind :meth:`GemEmbedder.serve`.
-
-    Called once by ``repro.serve`` when it is imported; ``factory`` is
-    invoked as ``factory(embedder, index, **serve_overrides)`` and is
-    expected to return the service object.
-    """
-    global _SERVE_FACTORY
-    _SERVE_FACTORY = factory
-
-
 def _balance(block: np.ndarray) -> np.ndarray:
     """Scale a block to unit mean row L2-norm (see GemConfig.balance_blocks)."""
     norms = np.linalg.norm(block, axis=1)
@@ -624,31 +606,6 @@ class GemEmbedder:
         index.add(ids, embeddings, value_fingerprints=value_fps)
         index.attach(self)
         return index
-
-    def serve(self, index=None, **serve_overrides: object):
-        """Wrap this fitted embedder in a :class:`~repro.serve.GemService`.
-
-        The service micro-batches concurrent ``embed``/``search`` requests
-        into single vectorised passes (bit-identical to solo calls) and
-        applies ``ingest``/``evict`` through snapshot-swapped writes, per
-        the ``serve_*`` knobs of :class:`~repro.core.config.GemConfig`.
-        ``index`` defaults to an empty index in this model's space; pass
-        ``self.build_index(corpus)`` (or a loaded archive) to serve an
-        existing corpus. Requires a corpus-independent transform — see
-        :attr:`transform_is_corpus_dependent`.
-
-        The service class itself is provided by the serving layer via
-        :func:`register_serve_factory` — importing :mod:`repro` (or
-        :mod:`repro.serve`) registers it; core never imports serve.
-        """
-        if _SERVE_FACTORY is None:
-            raise RuntimeError(
-                "no serving layer is registered: GemEmbedder.serve() is "
-                "backed by a factory that repro.serve installs when it is "
-                "imported (core code never imports the serving layer). "
-                "Run `import repro.serve` (or `import repro`) first."
-            )
-        return _SERVE_FACTORY(self, index, **serve_overrides)
 
     # ------------------------------------------------------------ clustering
 

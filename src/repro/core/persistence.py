@@ -5,14 +5,11 @@ parameters + feature standardisation + config); deployments fit once over a
 data lake and embed new columns later. ``save_gem`` / ``load_gem`` round-trip
 everything through a single ``.npz`` archive (config as embedded JSON,
 arrays natively). The transform-engine knobs (``batch_size``,
-``cache_signatures``, ``n_workers``), the fit-engine knobs
-(``fit_engine``, ``fit_batch_size``, ``warm_start_bic``) and the serving
-knobs (``serve_batch_window_ms``, ``serve_max_batch``,
-``serve_max_workers``) travel with the config, so a reloaded embedder
-refits with the same engine and memory profile and a
-:meth:`~repro.serve.GemService.from_archives` warm start serves with the
-deployment's batching policy; the signature cache itself is transient and
-starts empty on load.
+``cache_signatures``, ``n_workers``) and the fit-engine knobs
+(``fit_engine``, ``fit_batch_size``, ``warm_start_bic``) travel with the
+config, so a reloaded embedder refits with the same engine and memory
+profile; the signature cache itself is transient and starts empty on
+load.
 """
 
 from __future__ import annotations
@@ -75,9 +72,8 @@ class CorruptArchiveError(RuntimeError):
 
 # Fault-injection registration point. ``repro.serve.faults`` installs its
 # hook here for the duration of a FaultPlan so chaos tests can kill or
-# fail archive writes at named sites; core stays serve-agnostic (the same
-# inversion as ``repro.core.gem.register_serve_factory``, enforcing the
-# GEM-L01 layering: core never imports serve).
+# fail archive writes at named sites; core stays serve-agnostic (GEM-L01:
+# core never imports serve).
 _FAULT_HOOK: Callable[[str], None] | None = None
 
 
@@ -253,7 +249,9 @@ def read_archive(path: str | Path) -> dict[str, np.ndarray]:
     """
     final = npz_path(path)
     try:
-        with np.load(final) as payload:
+        # Opened here, not by np.load: np.load leaves its own handle open
+        # when it refuses a truncated file.
+        with open(final, "rb") as fh, np.load(fh) as payload:
             arrays = {name: payload[name] for name in payload.files}
     except (zipfile.BadZipFile, zlib.error, EOFError, ValueError, KeyError, OSError) as exc:
         if isinstance(exc, FileNotFoundError):

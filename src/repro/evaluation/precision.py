@@ -65,11 +65,14 @@ class EvaluationResult:
 
 
 def _index_order(index, X: np.ndarray, k_max: int) -> np.ndarray:
-    """Neighbour positions per row via a GemIndex holding exactly ``X``.
+    """Neighbour row numbers of ``X`` per row via a GemIndex holding exactly ``X``.
 
     The index must store the evaluated embedding rows in order — anything
     else would score neighbours of different columns — so this is verified
     exactly, not assumed. Self-exclusion uses each row's own stored id.
+    Returned neighbours are mapped by id to their row in ``index.ids``
+    order: search positions are storage slots, which rows removed but not
+    yet compacted away shift past the live row numbers.
     """
     n, d = X.shape
     if len(index) != n:
@@ -83,8 +86,12 @@ def _index_order(index, X: np.ndarray, k_max: int) -> np.ndarray:
             "index over exactly these rows (GemEmbedder.build_index on the "
             "same corpus) before evaluating with it"
         )
-    result = index.search(X, k_max, exclude_ids=list(index.ids))
-    return result.positions
+    ids = index.ids
+    row_of = {cid: row for row, cid in enumerate(ids)}
+    found = index.search(X, k_max, exclude_ids=list(ids)).ids
+    # Unfilled slots carry id None and stay -1.
+    rows = [[row_of.get(cid, -1) for cid in hits] for hits in found]
+    return np.array(rows, dtype=np.intp).reshape(found.shape)
 
 
 def precision_recall_at_k(

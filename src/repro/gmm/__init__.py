@@ -20,25 +20,12 @@ fully-tested implementation:
 * :func:`~repro.gmm.selection.select_n_components_bic` — the BIC sweep the
   paper uses to argue component-count robustness (§4.1.4, Figure 4), now a
   warm-started parallel sweep returning a
-  :class:`~repro.gmm.selection.SelectionReport`;
-* :class:`~repro.gmm.selection.SweepObjective` and the
-  :func:`~repro.gmm.selection.register_objective` /
-  :func:`~repro.gmm.selection.get_objective` registry — the plug-in point
-  config-sweep drivers (``repro.bundle``) use to rank trials by criteria
-  beyond BIC (retrieval precision, index recall).
+  :class:`~repro.gmm.selection.SelectionReport`.
 """
 
 from repro.gmm.kmeans import KMeans, kmeans_plus_plus_init, seed_restarts_1d
 from repro.gmm.model import BatchPlan, FitPlan, GaussianMixture
-from repro.gmm.selection import (
-    ObjectiveContext,
-    SelectionReport,
-    SweepObjective,
-    get_objective,
-    register_objective,
-    select_n_components_bic,
-    split_components,
-)
+from repro.gmm.selection import SelectionReport, select_n_components_bic, split_components
 
 __all__ = [
     "KMeans",
@@ -50,8 +37,4 @@ __all__ = [
     "SelectionReport",
     "select_n_components_bic",
     "split_components",
-    "ObjectiveContext",
-    "SweepObjective",
-    "register_objective",
-    "get_objective",
 ]

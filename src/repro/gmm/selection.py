@@ -243,101 +243,8 @@ def select_n_components_bic(
     )
 
 
-# --------------------------------------------------------------- objectives
-#
-# Model selection above optimises BIC — a likelihood criterion computed
-# from the mixture alone. Sweep drivers (repro.bundle) want to rank whole
-# *pipeline* configurations by downstream quality too (retrieval
-# precision, index recall), so the scoring function is a plug-in: callers
-# register named objectives and the driver looks them up by name. The
-# context object is duck-typed on purpose — selection stays importable
-# without repro.core (core.gem imports this module).
-
-
-@dataclass(frozen=True)
-class ObjectiveContext:
-    """Everything an objective may score a fitted pipeline trial on.
-
-    ``gem`` is the fitted embedder, ``corpus`` the corpus it was fitted
-    on, ``embeddings`` the dense embedding matrix for that corpus and
-    ``labels`` the per-column ground-truth labels (may be empty strings
-    for unlabelled columns). All fields are duck-typed: this module never
-    imports the concrete classes, keeping the gmm layer core-free.
-    """
-
-    gem: object
-    corpus: object
-    embeddings: np.ndarray
-    labels: Sequence[str]
-
-
-@dataclass(frozen=True)
-class SweepObjective:
-    """A named scoring function for config-sweep trials.
-
-    ``direction`` declares how ranks order: ``"maximize"`` for quality
-    metrics (precision, recall), ``"minimize"`` for criteria like BIC.
-    ``fn`` maps an :class:`ObjectiveContext` to a float score.
-    """
-
-    name: str
-    direction: str
-    fn: object
-
-    def __post_init__(self) -> None:
-        if self.direction not in ("maximize", "minimize"):
-            raise ValueError(
-                f"direction must be 'maximize' or 'minimize', got {self.direction!r}"
-            )
-
-
-_OBJECTIVES: dict[str, SweepObjective] = {}
-
-
-def register_objective(objective: SweepObjective) -> SweepObjective:
-    """Register a sweep objective under its name (last registration wins).
-
-    Returns the objective so the call composes as a decorator-style
-    one-liner at module import time.
-    """
-    _OBJECTIVES[objective.name] = objective
-    return objective
-
-
-def get_objective(name: str) -> SweepObjective:
-    """Look up a registered objective; raise ``KeyError`` listing known names."""
-    try:
-        return _OBJECTIVES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown sweep objective {name!r}; registered: {sorted(_OBJECTIVES)}"
-        ) from None
-
-
-def _bic_objective(ctx: ObjectiveContext) -> float:
-    gmm = getattr(ctx.gem, "gmm_", None)
-    if gmm is None:
-        raise ValueError(
-            "bic objective requires a fitted shared GMM on ctx.gem.gmm_ "
-            "(fit_mode='stacked')"
-        )
-    # Score the mixture on the same stacked, value-transformed data it was
-    # fitted on — the quantity select_n_components_bic minimises per
-    # candidate — recomputed from the corpus so no fit-time state needs
-    # to be retained.
-    stacked = ctx.gem._apply_value_transform(ctx.corpus.stacked_values())
-    return float(gmm.bic(np.asarray(stacked).reshape(-1, 1)))
-
-
-register_objective(SweepObjective(name="bic", direction="minimize", fn=_bic_objective))
-
-
 __all__ = [
     "SelectionReport",
     "select_n_components_bic",
     "split_components",
-    "ObjectiveContext",
-    "SweepObjective",
-    "register_objective",
-    "get_objective",
 ]

@@ -31,7 +31,6 @@ Quickstart::
     service.ingest(["crawl/t1:price"], [column])  # visible on return
 """
 
-from repro.core import gem as _gem
 from repro.serve.batching import BatcherClosedError, MicroBatcher, Ticket
 from repro.serve.faults import (
     Delay,
@@ -53,10 +52,6 @@ from repro.serve.resilience import (
 )
 from repro.serve.service import GemService
 from repro.serve.snapshot import SnapshotStore, WriteOp
-
-# GemEmbedder.serve() delegates here: the serving layer registers its
-# constructor with core instead of core importing serve (GEM-L01).
-_gem.register_serve_factory(GemService)
 
 __all__ = [
     "GemService",

@@ -34,9 +34,9 @@ With ``max_workers=1`` execution slots are exclusive and batches are
 sealed strictly in formation order — the property the write path's
 snapshot publishing relies on.
 
-**Deadlines.** A submission may carry a
-:class:`~repro.serve.resilience.Deadline`; the guarantee is then that its
-caller is *never* blocked past it. Enforcement is belt and braces:
+**Deadlines.** Every submission carries a
+:class:`~repro.serve.resilience.Deadline`, and its caller is *never*
+blocked past it. Enforcement is belt and braces:
 
 * caller side (the guarantee): :meth:`Ticket.result` bounds its wait by
   the deadline and raises
@@ -48,11 +48,9 @@ caller is *never* blocked past it. Enforcement is belt and braces:
   the error, the batch function never sees them) — expired work is not
   done, not merely not waited for.
 
-Deadline-less submissions keep the original semantics: ``result()``
-blocks until execution. Every wait in this module is nevertheless
-chunked (``MAX_WAIT_S`` re-check period), so no single blocking call is
-unbounded — the invariant gemlint's GEM-R01 enforces for the whole
-serving layer.
+Every wait in this module is also chunked (``MAX_WAIT_S`` re-check
+period), so no single blocking call is unbounded — the invariant
+gemlint's GEM-R01 enforces for the whole serving layer.
 """
 
 from __future__ import annotations
@@ -95,7 +93,7 @@ class Ticket:
 
     __slots__ = ("payload", "batch_size", "deadline", "_batch", "_index")
 
-    def __init__(self, payload: object, batch: _Batch, deadline: Deadline | None) -> None:
+    def __init__(self, payload: object, batch: _Batch, deadline: Deadline) -> None:
         self.payload = payload
         self.batch_size = 0
         self.deadline = deadline
@@ -109,24 +107,19 @@ class Ticket:
         (:class:`~repro.serve.resilience.DeadlineExceededError` on expiry
         — this is the serving layer's no-hung-callers guarantee, enforced
         on the *calling* thread so it holds even when the executor is
-        wedged) and by ``timeout`` if given (``TimeoutError``, the
-        pre-deadline API kept for polling callers).
+        wedged) and by ``timeout`` if given (``TimeoutError``).
         """
         done = self._batch.done
         if done.is_set():  # leader, or a late reader: result already there
             return self._fetch()
         limit = None if timeout is None else time.monotonic() + timeout
         while not done.is_set():
-            chunk = MAX_WAIT_S
-            if self.deadline is not None:
-                remaining = self.deadline.remaining()
-                if remaining <= 0:
-                    if done.is_set():  # result landed at the wire: deliver it
-                        break
-                    raise DeadlineExceededError(
-                        "request deadline expired before its batch completed"
-                    )
-                chunk = min(chunk, remaining)
+            remaining = self.deadline.remaining()
+            if remaining <= 0:
+                if done.is_set():  # result landed at the wire: deliver it
+                    break
+                raise DeadlineExceededError("request deadline expired before its batch completed")
+            chunk = min(MAX_WAIT_S, remaining)
             if limit is not None:
                 remaining_t = limit - time.monotonic()
                 if remaining_t <= 0:
@@ -197,7 +190,7 @@ class MicroBatcher:
 
     # --------------------------------------------------------------- public
 
-    def submit(self, payload: object, deadline: Deadline | None = None) -> Ticket:
+    def submit(self, payload: object, deadline: Deadline) -> Ticket:
         """Join the open batch (or lead a new one); returns the ticket.
 
         The leader executes the batch on this thread before returning, so
@@ -297,9 +290,8 @@ class MicroBatcher:
         here would hang that caller past its deadline — exactly what the
         deadline machinery exists to prevent. The wait is therefore
         bounded by the latest live deadline across the batch's tickets
-        (recomputed each cycle: followers keep joining while we wait, and
-        a deadline-less ticket makes the wait effectively unbounded again,
-        chunked at ``MAX_WAIT_S``). When every ticket has expired, the
+        (recomputed each cycle: followers keep joining while we wait) and
+        chunked at ``MAX_WAIT_S``. When every ticket has expired, the
         batch is sealed and shed: all result slots get
         ``DeadlineExceededError``, ``done`` is set, and False is returned
         — no caller is left waiting on work that will never run.
@@ -310,10 +302,6 @@ class MicroBatcher:
             with self._cond:
                 tickets = list(batch.tickets)
             budget = self._latest_remaining(tickets)
-            if budget is None:
-                if self._exec_slots.acquire(timeout=MAX_WAIT_S):
-                    return True
-                continue
             if budget > 0:
                 if self._exec_slots.acquire(timeout=min(budget, MAX_WAIT_S)):
                     return True
@@ -326,8 +314,7 @@ class MicroBatcher:
                     self._open = None
                     self._cond.notify_all()
                 tickets = list(batch.tickets)  # final: sealed, no more joins
-            budget = self._latest_remaining(tickets)
-            if budget is None or budget > 0:
+            if self._latest_remaining(tickets) > 0:
                 continue  # a live ticket made the wire; keep trying for a slot
             for ticket in tickets:
                 ticket.batch_size = len(tickets)
@@ -341,15 +328,9 @@ class MicroBatcher:
             return False
 
     @staticmethod
-    def _latest_remaining(tickets: list[Ticket]) -> float | None:
-        """Seconds until the *last* deadline in the batch; None if any
-        ticket is deadline-less (the batch must then execute eventually)."""
-        latest = 0.0
-        for ticket in tickets:
-            if ticket.deadline is None:
-                return None
-            latest = max(latest, ticket.deadline.remaining())
-        return latest
+    def _latest_remaining(tickets: list[Ticket]) -> float:
+        """Seconds until the *last* deadline in the batch (<= 0 once all expired)."""
+        return max((ticket.deadline.remaining() for ticket in tickets), default=0.0)
 
     def _execute(self, batch: _Batch) -> None:
         tickets = batch.tickets
@@ -359,7 +340,7 @@ class MicroBatcher:
         results: list[object] = [None] * n
         live: list[int] = []
         for i, ticket in enumerate(tickets):
-            if ticket.deadline is not None and ticket.deadline.expired:
+            if ticket.deadline.expired:
                 # Leader-side shed: the caller already (or imminently)
                 # raised on its own wait; doing the work anyway would
                 # charge the whole batch for a result nobody can use.

@@ -13,17 +13,17 @@ Design constraints, in priority order:
 1. **Zero overhead when disabled.** Every instrumented site calls
    :func:`fault_point`, which is one module-global read and a falsy check
    when no plan is installed. The production path never pays for the
-   harness (``bench_serve.py --quick`` gates this at <5%).
+   harness.
 2. **Deterministic.** A :class:`FaultPlan` maps ``(site, hit_index)`` to
    an action: "the 3rd time the write applier reaches
    ``snapshot.apply``, raise". Hit counters are per-plan and
    thread-safe, so a plan replays identically given the same call
    sequence.
 3. **Layering-safe.** ``repro.core``/``repro.index`` must not import
-   ``repro.serve`` (gemlint GEM-L01). Like ``register_serve_factory``,
-   the persistence modules expose a ``set_fault_hook`` registration
-   point; :meth:`FaultPlan.install` plugs into it for the duration of
-   the plan, so core code stays serve-agnostic.
+   ``repro.serve`` (gemlint GEM-L01), so the persistence modules expose
+   a ``set_fault_hook`` registration point; :meth:`FaultPlan.install`
+   plugs into it for the duration of the plan, so core code stays
+   serve-agnostic.
 
 :class:`KillPoint` derives from ``BaseException`` deliberately: it
 models the *process dying* at the site, so it must sail through the

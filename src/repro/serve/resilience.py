@@ -55,7 +55,7 @@ class SheddingError(RuntimeError):
     """The service refused the request to protect itself (load shedding).
 
     Raised on admission when the in-flight request count has reached
-    ``serve_max_pending``, or while the degradation breaker is in its
+    ``max_pending``, or while the degradation breaker is in its
     ``shedding`` state. Fast-fail by design: the caller learns in
     microseconds that the service is saturated, instead of joining a
     queue whose wait would blow its deadline anyway. Retry with backoff.
@@ -90,19 +90,6 @@ class Deadline:
     def expired(self) -> bool:
         return time.monotonic() >= self.expires_at
 
-    def wait(self, event: threading.Event) -> bool:
-        """Wait for ``event`` no longer than the deadline; True if it set.
-
-        Chunked at :data:`MAX_WAIT_S` so the expiry is re-read each cycle
-        — the wait is bounded even against clock-granularity edge cases.
-        """
-        while True:
-            remaining = self.remaining()
-            if remaining <= 0:
-                return event.is_set()
-            if event.wait(min(remaining, MAX_WAIT_S)):
-                return True
-
 
 class AdmissionController:
     """Bounded in-flight request count with fast-fail load shedding.
@@ -133,7 +120,7 @@ class AdmissionController:
             if self._in_flight >= self.max_pending:
                 raise SheddingError(
                     f"service saturated: {self._in_flight} requests in flight "
-                    f"(serve_max_pending={self.max_pending}); retry with backoff"
+                    f"(max_pending={self.max_pending}); retry with backoff"
                 )
             self._in_flight += 1
         return self._slot

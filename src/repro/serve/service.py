@@ -8,7 +8,7 @@ table, evict a retracted one. :class:`GemService` owns one fitted
 :class:`~repro.index.GemIndex` and coordinates that traffic:
 
 * **micro-batching** — concurrent ``embed``/``search`` requests arriving
-  within ``serve_batch_window_ms`` of each other coalesce into one
+  within ``batch_window_ms`` of each other coalesce into one
   vectorised ``transform``/``search`` pass. Results are **bit-identical**
   to solo calls: signature pooling chunks are column-aligned (a column's
   pooled row never depends on what shares the stack) and the top-k search
@@ -19,13 +19,11 @@ table, evict a retracted one. :class:`GemService` owns one fitted
   observe a half-applied batch. Within one write batch, ops apply in
   arrival order, so evict + ingest of the same id resurrects the row.
 * **resilience** (:mod:`repro.serve.resilience`) — every request carries
-  a deadline (``serve_deadline_ms``, overridable per call) bounding all
-  of its waits; admission control sheds load past ``serve_max_pending``
+  a deadline (``deadline_ms``, overridable per call) bounding all of its
+  waits; admission control sheds load past ``max_pending``
   (:exc:`~repro.serve.SheddingError` fast-fail); a degradation breaker
   trades search quality (IVF ``n_probe``, PQ re-rank) for latency under
-  pressure and recovers hysteretically. ``resilience=False`` disables
-  all three (benchmarking the bare fast path); the machinery idles at
-  <5% throughput overhead when enabled but unstressed.
+  pressure and recovers hysteretically.
 * **crash safety** — archives are written atomically with content
   checksums, and an optional write-ahead op log
   (:mod:`repro.serve.oplog`) records every acknowledged write batch so
@@ -48,7 +46,6 @@ neighbours from a different embedding space.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from pathlib import Path
 from typing import ContextManager, Sequence
 
@@ -71,9 +68,9 @@ from repro.serve.resilience import (
 )
 from repro.serve.snapshot import SnapshotStore, WriteOp
 
-# Backstop on every ticket wait, even with resilience disabled: a wedged
-# batch thread must surface as a TimeoutError, not a caller hung forever
-# (GEM-R01). Deadlines, when active, bound the wait far tighter.
+# Backstop on every ticket wait (GEM-R01): a wedged batch thread must
+# surface as a TimeoutError, not a caller hung forever. Request deadlines
+# bound the wait far tighter.
 _RESULT_BACKSTOP_S = 600.0
 
 
@@ -112,19 +109,36 @@ class GemService:
         embedder is (re-)attached, so a warm-started index whose archive
         fingerprint does not match raises
         :class:`~repro.index.StaleIndexError`.
-    batch_window_ms / max_batch / max_workers:
-        Micro-batching knobs; default to the embedder config's
-        ``serve_batch_window_ms`` / ``serve_max_batch`` /
-        ``serve_max_workers``.
-    deadline_ms / max_pending / degrade_pending / degrade_latency_ms:
-        Resilience knobs; default to the config's ``serve_deadline_ms`` /
-        ``serve_max_pending`` / ``serve_degrade_pending`` /
-        ``serve_degrade_latency_ms``.
-    resilience:
-        ``False`` turns off deadlines, admission control and degradation
-        entirely (requests behave like the pre-resilience service unless
-        a per-call ``deadline_ms`` is passed). Exists so the benchmark
-        can price the machinery; production keeps the default ``True``.
+    batch_window_ms:
+        Upper bound on how long a batch keeps collecting after its first
+        request arrives. Collection seals early — as soon as the batch
+        fills or stops growing for a couple of scheduler yields — so an
+        isolated request never idles out the window; under load, batches
+        also keep collecting while the previous batch executes. ``0``
+        removes the linger entirely.
+    max_batch:
+        Maximum requests coalesced into one batch.
+    max_workers:
+        Read batches allowed to execute concurrently (writes are always
+        applied by a single thread so snapshots publish in order).
+    deadline_ms:
+        Default per-request latency budget, overridable per call. A
+        request whose budget expires before its result is ready raises
+        :exc:`~repro.serve.DeadlineExceededError`. Must be finite:
+        threading waits cannot take an infinite timeout.
+    max_pending:
+        Bound on concurrently admitted requests; past it, new requests
+        fast-fail with :exc:`~repro.serve.SheddingError` instead of
+        queueing. Also the queue depth at which the degradation breaker
+        opens fully.
+    degrade_pending:
+        Queue depth at which the service starts trading search quality
+        for latency (IVF ``n_probe`` halves stepwise, PQ re-ranking
+        turns off); ``None`` means ``min(64, max_pending)``. Must not
+        exceed ``max_pending``.
+    degrade_latency_ms:
+        Observed p99 request latency that also triggers degradation;
+        ``None`` leaves only the queue-depth trigger.
     oplog:
         A :class:`~repro.serve.oplog.GemOpLog` (or a path for one) that
         durably records every acknowledged write batch. See
@@ -152,14 +166,13 @@ class GemService:
         embedder: GemEmbedder,
         index: GemIndex | None = None,
         *,
-        batch_window_ms: float | None = None,
-        max_batch: int | None = None,
-        max_workers: int | None = None,
-        deadline_ms: float | None = None,
-        max_pending: int | None = None,
+        batch_window_ms: float = 2.0,
+        max_batch: int = 64,
+        max_workers: int = 2,
+        deadline_ms: float = 10_000.0,
+        max_pending: int = 256,
         degrade_pending: int | None = None,
         degrade_latency_ms: float | None = None,
-        resilience: bool = True,
         oplog: GemOpLog | str | Path | None = None,
     ) -> None:
         embedder._check_fitted()
@@ -189,52 +202,36 @@ class GemService:
                 random_state=cfg.random_state,
             )
         index.attach(embedder)  # fingerprint-checked warm start
-        window = (
-            cfg.serve_batch_window_ms if batch_window_ms is None else batch_window_ms
+        Deadline.after_ms(deadline_ms)  # validate (finite, > 0) up front
+        self._deadline_s = deadline_ms / 1e3  # pre-validated offset
+        self._admission = AdmissionController(max_pending)
+        self._policy = DegradationPolicy(
+            degrade_pending=min(64, max_pending) if degrade_pending is None else degrade_pending,
+            shed_pending=max_pending,
+            degrade_latency_ms=degrade_latency_ms,
         )
-        batch = cfg.serve_max_batch if max_batch is None else max_batch
-        workers = cfg.serve_max_workers if max_workers is None else max_workers
-        self._deadline_ms = cfg.serve_deadline_ms if deadline_ms is None else float(deadline_ms)
-        Deadline.after_ms(self._deadline_ms)  # validate (finite, > 0) up front
-        self._deadline_s = self._deadline_ms / 1e3  # pre-validated offset
-        self._resilience = bool(resilience)
-        if self._resilience:
-            pending = cfg.serve_max_pending if max_pending is None else int(max_pending)
-            degrade = cfg.serve_degrade_pending if degrade_pending is None else int(degrade_pending)
-            latency = (
-                cfg.serve_degrade_latency_ms
-                if degrade_latency_ms is None
-                else degrade_latency_ms
-            )
-            self._admission: AdmissionController | None = AdmissionController(pending)
-            self._policy: DegradationPolicy | None = DegradationPolicy(
-                degrade_pending=min(degrade, pending),
-                shed_pending=pending,
-                degrade_latency_ms=latency,
-            )
-        else:
-            self._admission = None
-            self._policy = None
         self._last_state = CLOSED  # last breaker state pushed to metrics
-        self._oplog = GemOpLog(oplog) if isinstance(oplog, (str, Path)) else oplog
-        self._store = SnapshotStore(index)
-        self.metrics = ServiceMetrics()
         self._reads = MicroBatcher(
             self._execute_reads,
-            window_ms=window,
-            max_batch=batch,
-            max_workers=workers,
+            window_ms=batch_window_ms,
+            max_batch=max_batch,
+            max_workers=max_workers,
             name="gem-serve-read",
         )
         # Writes stay on one dispatcher thread: ops must apply in arrival
         # order and snapshots must publish in order.
         self._writes = MicroBatcher(
             self._execute_writes,
-            window_ms=window,
-            max_batch=batch,
+            window_ms=batch_window_ms,
+            max_batch=max_batch,
             max_workers=1,
             name="gem-serve-write",
         )
+        # Opened after every argument is validated, so a refused
+        # construction leaks no log file handle.
+        self._oplog = GemOpLog(oplog) if isinstance(oplog, (str, Path)) else oplog
+        self._store = SnapshotStore(index)
+        self.metrics = ServiceMetrics()
         self._closed = False
 
     # ------------------------------------------------------------ lifecycle
@@ -273,26 +270,6 @@ class GemService:
         service = cls(embedder, index, oplog=oplog, **kwargs)  # type: ignore[arg-type]
         service._replay_oplog()
         return service
-
-    @classmethod
-    def from_bundle(cls, bundle_dir: str | Path, **kwargs: object) -> "GemService":
-        """Warm-start a service from a ``repro.bundle`` directory.
-
-        Reads the bundle manifest, validates the whole fit → index
-        derivation chain (artifact checksums, upstream fingerprints) and
-        then warm-starts exactly like :meth:`from_archives` with the
-        bundle's WAL — writes acknowledged after the last checkpoint are
-        replayed before the service takes traffic. A tampered bundle
-        raises :class:`~repro.core.persistence.CorruptArchiveError`, a
-        stale one :class:`~repro.index.StaleIndexError`. See
-        ``docs/bundle-format.md``.
-        """
-        # Imported lazily: repro.bundle composes this module at import
-        # time, so the dependency points bundle → serve; only this call
-        # reaches back.
-        from repro.bundle.stages import open_service
-
-        return open_service(bundle_dir, **kwargs)
 
     def _replay_oplog(self) -> None:
         """Apply every logged batch to the restored index (recovery)."""
@@ -334,30 +311,22 @@ class GemService:
 
     # ----------------------------------------------------------- resilience
 
-    def _request_deadline(self, deadline_ms: float | None) -> Deadline | None:
-        """The deadline for one request: per-call override, else config.
-
-        With ``resilience=False`` and no per-call value, requests carry no
-        deadline at all (the bare pre-resilience path).
-        """
+    def _request_deadline(self, deadline_ms: float | None) -> Deadline:
+        """The deadline for one request: per-call override, else the default."""
         if deadline_ms is not None:
             return Deadline.after_ms(float(deadline_ms))
-        if self._resilience:
-            # The default was validated in __init__; skip re-validation on
-            # the per-request hot path.
-            return Deadline(time.monotonic() + self._deadline_s)
-        return None
+        # The default was validated in __init__; skip re-validation on the
+        # per-request hot path.
+        return Deadline(time.monotonic() + self._deadline_s)
 
     def _admit(self) -> ContextManager[object]:
         """Admission control: a slot context, or SheddingError fast-fail.
 
         Sheds when the breaker is open (degradation reached its shedding
-        state) or the in-flight count has hit ``serve_max_pending``. Shed
+        state) or the in-flight count has hit ``max_pending``. Shed
         attempts are observed too — falling pressure during a shed storm
         is what drives the breaker's hysteretic recovery.
         """
-        if self._admission is None or self._policy is None:
-            return nullcontext()
         if self._policy.shedding:
             self.metrics.record_shed()
             self._observe(None)
@@ -382,8 +351,6 @@ class GemService:
         ``degraded_seconds`` stays exact — accrual is anchored at the
         recorded transitions, not at per-request stamps.
         """
-        if self._policy is None or self._admission is None:
-            return
         state = self._policy.observe(self._admission.in_flight, latency_s)
         if state != CLOSED or self._last_state != CLOSED:
             self._last_state = state
@@ -558,13 +525,11 @@ class GemService:
         results: list[object] = [None] * len(payloads)
         # All searches of this batch run against one snapshot grab.
         snap = self._store.current()
-        overrides: dict[str, int] = {}
-        if self._policy is not None:
-            # Degradation lever: reduced probe width / no re-rank while
-            # the breaker is non-closed; empty (bit-identical) when
-            # closed. One decision per batch, so co-batched searches stay
-            # mutually consistent.
-            overrides = self._policy.search_overrides(snap.n_probe, snap.pq_rerank)
+        # Degradation lever: reduced probe width / no re-rank while the
+        # breaker is non-closed; empty (bit-identical) when closed. One
+        # decision per batch, so co-batched searches stay mutually
+        # consistent.
+        overrides = self._policy.search_overrides(snap.n_probe, snap.pq_rerank)
         by_k: dict[int, list[int]] = {}
         for i, payload in enumerate(payloads):
             if payload[0] == "embed":  # type: ignore[index]

@@ -13,12 +13,12 @@ from repro.bundle import (
     expand_grid,
     load_corpus,
     manifest_path,
+    open_service,
     read_manifest,
     record_stage,
     verify_bundle,
 )
 from repro.bundle.__main__ import main
-from repro.serve import GemService
 
 # One small fitted+indexed bundle is built once (module scope) and copied
 # for every destructive test; keeps the suite fast.
@@ -72,9 +72,9 @@ class TestHappyPath:
     def test_verify_bundle_reports_nothing(self, bundle):
         assert verify_bundle(bundle) == []
 
-    def test_from_bundle_serves_searches(self, bundle):
+    def test_open_service_serves_searches(self, bundle):
         corpus, _ = load_corpus(SPEC)
-        with GemService.from_bundle(bundle) as service:
+        with open_service(bundle) as service:
             result = service.search(corpus.take([0, 1]), k=3)
         assert len(result.ids) == 2
         assert all(len(row) == 3 for row in result.ids)
@@ -82,11 +82,11 @@ class TestHappyPath:
     def test_wal_replay_restores_acked_writes(self, bundle):
         corpus, _ = load_corpus(SPEC)
         sub = corpus.take([0])
-        with GemService.from_bundle(bundle) as service:
+        with open_service(bundle) as service:
             service.ingest(["wal:extra"], sub)
         # The ingest hit the WAL but not index.npz; a fresh open must
         # replay it before taking traffic.
-        with GemService.from_bundle(bundle) as service:
+        with open_service(bundle) as service:
             assert service.metrics.snapshot()["replayed_ops"] >= 1
             hits = service.search(sub, k=2)
         assert any("wal:extra" in row for row in hits.ids)
@@ -110,7 +110,7 @@ class TestRefusals:
         assert "FAIL" in capsys.readouterr().err
         assert main(["serve", str(bundle), "--smoke"]) == 1
         with pytest.raises(CorruptArchiveError):
-            GemService.from_bundle(bundle)
+            open_service(bundle)
 
     def test_missing_artifact_is_corrupt(self, bundle):
         (bundle / "gem.npz").unlink()
@@ -127,7 +127,7 @@ class TestRefusals:
         assert main(["serve", str(bundle), "--smoke"]) == 1
         assert "re-run" in capsys.readouterr().err
         with pytest.raises(StaleIndexError):
-            GemService.from_bundle(bundle)
+            open_service(bundle)
         assert main(["verify", str(bundle)]) == 1
         # Rebuilding the stale stage heals the chain.
         assert main(["index", str(bundle), "--backend", "exact"]) == 0

@@ -7,8 +7,16 @@ from repro.core import GemConfig, GemEmbedder
 from repro.core.gem import log_squash
 from repro.data.table import ColumnCorpus, NumericColumn
 from repro.evaluation import average_precision_at_k
+from repro.serve import GemService
 
 FAST = dict(n_components=8, n_init=1, max_iter=60)
+
+# Retired GemConfig serving fields and the GemService arguments that replaced them.
+SERVE_ARGS = {
+    "serve_batch_window_ms": "batch_window_ms",
+    "serve_max_batch": "max_batch",
+    "serve_max_workers": "max_workers",
+}
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +80,17 @@ class TestConfig:
             ("serve_max_workers", 0),
         ],
     )
-    def test_invalid_fields_rejected(self, field, value):
-        with pytest.raises(ValueError):
-            GemConfig(**{field: value})
+    def test_invalid_fields_rejected(self, field, value, fitted):
+        if field in SERVE_ARGS:
+            # Serving policy is no longer a GemConfig field; the value is
+            # still rejected by the GemService argument that replaced it.
+            with pytest.raises(TypeError):
+                GemConfig(**{field: value})
+            with pytest.raises(ValueError):
+                GemService(fitted, **{SERVE_ARGS[field]: value})
+        else:
+            with pytest.raises(ValueError):
+                GemConfig(**{field: value})
 
     def test_with_features(self):
         cfg = GemConfig().with_features(contextual=True, statistical=False)

@@ -1,5 +1,7 @@
 """Tests for fitted-embedder persistence (save_gem / load_gem)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -159,30 +161,25 @@ class TestBatchingFieldsRoundtrip:
         assert restored.gmm_.fit_batch_size == 1024
         assert restored.gmm_.init == cfg.gmm_init
 
-    def test_serve_knobs_survive(self, tiny_corpus, tmp_path):
-        cfg = GemConfig.fast(
-            n_components=6,
-            n_init=1,
+    def test_retired_serve_keys_load_silently(self):
+        # Archives and manifests written while serving policy lived on
+        # GemConfig carry these keys; they load without a warning, while
+        # any other unknown key still warns.
+        retired = dict(
             serve_batch_window_ms=7.5,
             serve_max_batch=32,
             serve_max_workers=4,
+            serve_deadline_ms=10_000.0,
+            serve_max_pending=256,
+            serve_degrade_pending=64,
+            serve_degrade_latency_ms=None,
         )
-        gem = GemEmbedder(config=cfg)
-        gem.fit(tiny_corpus)
-        path = tmp_path / "gem.npz"
-        save_gem(gem, path)
-        restored = load_gem(path)
-        assert restored.config == cfg
-        assert restored.config.serve_batch_window_ms == 7.5
-        assert restored.config.serve_max_batch == 32
-        assert restored.config.serve_max_workers == 4
-        # A warm-started service adopts the archived batching policy.
-        service = restored.serve()
-        try:
-            assert service._reads._window_s == pytest.approx(7.5e-3)
-            assert service._reads._max_batch == 32
-        finally:
-            service.close()
+        cfg_dict = {**FAST.to_manifest_dict(), **retired}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert GemConfig.from_manifest_dict(cfg_dict) == FAST
+        with pytest.warns(RuntimeWarning, match="serve_typo"):
+            assert GemConfig.from_manifest_dict({**cfg_dict, "serve_typo": 1}) == FAST
 
     def test_legacy_archive_without_batching_fields_loads(self, tiny_corpus, tmp_path):
         import json

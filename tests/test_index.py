@@ -1159,6 +1159,20 @@ class TestIndexBackedPrecision:
         with pytest.raises(ValueError, match="stores 5 rows"):
             precision_recall_at_k(emb, labels, index=short)
 
+    def test_tombstoned_index_matches_dense_scores(self, rng):
+        # Rows removed ahead of the live ones stay in storage until
+        # compaction, so search positions run past the live row numbers.
+        X = rng.normal(size=(14, 6))
+        index = GemIndex(6, compact_threshold=1.0)
+        index.add(_ids(14), X)
+        index.remove(["c0", "c1"])
+        rows = index.vectors()
+        labels = ["a", "b", "c"] * 4
+        dense = precision_recall_at_k(rows, labels)
+        viaidx = precision_recall_at_k(rows, labels, index=index)
+        assert np.array_equal(dense.per_column_precision, viaidx.per_column_precision)
+        assert dense.macro_precision == viaidx.macro_precision
+
     def test_index_and_similarity_mutually_exclusive(self, fitted):
         corpus, gem, emb = fitted
         labels = corpus.labels("fine")

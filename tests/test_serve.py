@@ -17,6 +17,7 @@ from repro.data import ColumnCorpus, NumericColumn, make_gds
 from repro.index import StaleIndexError, save_index
 from repro.serve import (
     BatcherClosedError,
+    Deadline,
     GemService,
     MicroBatcher,
     ServiceMetrics,
@@ -52,10 +53,15 @@ def _service(fitted, corpus, **kwargs):
     return GemService(fitted, fitted.build_index(corpus), **kwargs)
 
 
+def _deadline():
+    """A budget no test in this module comes near (submissions need one)."""
+    return Deadline.after_ms(60_000)
+
+
 class TestMicroBatcher:
     def test_single_request_runs_alone(self):
         with MicroBatcher(lambda ps: [p * 2 for p in ps], window_ms=1, max_batch=8) as mb:
-            ticket = mb.submit(21)
+            ticket = mb.submit(21, _deadline())
             assert ticket.result(timeout=5) == 42
             assert ticket.batch_size == 1
 
@@ -71,7 +77,7 @@ class TestMicroBatcher:
             results = [None] * 16
 
             def client(i):
-                results[i] = mb.submit(i).result(timeout=10)
+                results[i] = mb.submit(i, _deadline()).result(timeout=10)
 
             threads = [threading.Thread(target=client, args=(i,)) for i in range(16)]
             for t in threads:
@@ -92,7 +98,7 @@ class TestMicroBatcher:
 
         with MicroBatcher(fn, window_ms=50, max_batch=3) as mb:
             threads = [
-                threading.Thread(target=lambda i=i: mb.submit(i).result(timeout=10))
+                threading.Thread(target=lambda i=i: mb.submit(i, _deadline()).result(timeout=10))
                 for i in range(12)
             ]
             for t in threads:
@@ -107,8 +113,8 @@ class TestMicroBatcher:
             return [ValueError("bad") if p == "bad" else p for p in ps]
 
         with MicroBatcher(fn, window_ms=1, max_batch=8) as mb:
-            good = mb.submit("ok")
-            bad = mb.submit("bad")
+            good = mb.submit("ok", _deadline())
+            bad = mb.submit("bad", _deadline())
             assert good.result(timeout=5) == "ok"
             with pytest.raises(ValueError, match="bad"):
                 bad.result(timeout=5)
@@ -119,18 +125,18 @@ class TestMicroBatcher:
 
         with MicroBatcher(fn, window_ms=1, max_batch=8) as mb:
             with pytest.raises(RuntimeError, match="boom"):
-                mb.submit(1).result(timeout=5)
+                mb.submit(1, _deadline()).result(timeout=5)
 
     def test_wrong_result_count_is_an_error(self):
         with MicroBatcher(lambda ps: [1, 2, 3], window_ms=1, max_batch=8) as mb:
             with pytest.raises(RuntimeError, match="returned 3 results"):
-                mb.submit("x").result(timeout=5)
+                mb.submit("x", _deadline()).result(timeout=5)
 
     def test_submit_after_close_raises(self):
         mb = MicroBatcher(lambda ps: ps, window_ms=1, max_batch=8)
         mb.close()
         with pytest.raises(BatcherClosedError):
-            mb.submit(1)
+            mb.submit(1, _deadline())
 
     def test_invalid_parameters(self):
         for kwargs in (
@@ -151,7 +157,7 @@ class TestMicroBatcher:
 
         with MicroBatcher(fn, window_ms=10, max_batch=4, max_workers=1) as mb:
             threads = [
-                threading.Thread(target=lambda i=i: mb.submit(i).result(timeout=10))
+                threading.Thread(target=lambda i=i: mb.submit(i, _deadline()).result(timeout=10))
                 for i in range(10)
             ]
             for t in threads:
@@ -407,27 +413,15 @@ class TestWarmStart:
             GemService(GemEmbedder(**FAST))
 
     def test_embedder_serve_convenience(self, fitted, corpus):
-        svc = fitted.serve(batch_window_ms=1)
+        # Without an index the service starts over an empty one in the
+        # model's space.
+        svc = GemService(fitted, batch_window_ms=1)
         try:
             assert len(svc) == 0
             rows = svc.embed(_columns(16, 1))
             assert rows.shape == (1, fitted.embedding_dim)
         finally:
             svc.close()
-
-    def test_serve_factory_registered_on_import(self):
-        # Importing repro.serve registers GemService into the core hook, so
-        # core never has to import the serving layer (GEM-L01).
-        from repro.core import gem as gem_module
-
-        assert gem_module._SERVE_FACTORY is GemService
-
-    def test_serve_without_registered_factory_raises(self, fitted, monkeypatch):
-        from repro.core import gem as gem_module
-
-        monkeypatch.setattr(gem_module, "_SERVE_FACTORY", None)
-        with pytest.raises(RuntimeError, match="no serving layer is registered"):
-            fitted.serve()
 
 
 class TestMetrics:
