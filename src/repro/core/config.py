@@ -71,12 +71,16 @@ class GemConfig:
         restarts one at a time through the same primitives (bit-identical
         results, for debugging/benchmarking).
     fit_batch_size:
-        Rows per E-step chunk while *fitting* the shared GMM. ``None``
-        uses the engine default (2048); beyond the input stack itself (and
-        transient O(n) seeding scratch such as the quantile sort), fit-time
-        peak memory is ``O(fit_batch_size * n_init * n_components)`` floats
-        no matter how many values are stacked, and every batch size yields
-        bit-identical parameters (reductions run on a fixed block grid).
+        Distinct values per E-step chunk while *fitting* the shared GMM:
+        EM runs over the distinct stacked values, each weighted by its
+        multiplicity, so fit cost scales with distinct values × restarts ×
+        components × iterations. ``None`` uses the engine default (2048).
+        Beyond the input stack itself, the O(n) distinct-value and count
+        arrays and transient O(n) seeding scratch such as the quantile
+        sort, fit-time peak memory is
+        ``O(fit_batch_size * n_init * n_components)`` floats no matter how
+        many values are stacked, and every batch size yields bit-identical
+        parameters (reductions run on a fixed block grid).
     gmm_init:
         EM initialisation: ``"quantile"`` (default — density-proportional
         component seeding, essential on heavy-tailed raw value stacks),

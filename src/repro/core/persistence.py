@@ -62,11 +62,12 @@ _PER_COLUMN_FIT_FIELDS = ("gmm_init", "tol", "max_iter", "covariance_floor")
 class CorruptArchiveError(RuntimeError):
     """The archive on disk does not match its recorded content checksum.
 
-    Raised by :func:`read_archive` when an archive is truncated, bit-rotted
-    or otherwise unreadable — distinct from :exc:`FileNotFoundError` (the
-    archive never existed) and from a clean-but-stale archive (see
-    :class:`~repro.index.core.StaleIndexError`). A corrupt archive cannot
-    be partially trusted; rebuild it from source or restore a backup.
+    Raised by :func:`read_archive` when an archive is truncated, bit-rotted,
+    stripped of its checksum member or otherwise unreadable — distinct from
+    :exc:`FileNotFoundError` (the archive never existed) and from a
+    clean-but-stale archive (see :class:`~repro.index.core.StaleIndexError`).
+    A corrupt archive cannot be partially trusted; rebuild it from source or
+    restore a backup.
     """
 
 
@@ -240,12 +241,10 @@ def read_archive(path: str | Path) -> dict[str, np.ndarray]:
 
     Returns the archive's arrays as a dict (eagerly decoded — corruption
     must surface here, not lazily mid-restore). Raises
-    :exc:`CorruptArchiveError` if the file cannot be decoded or its
-    ``__checksum__`` does not match the content; archives written before
-    checksums existed (no ``__checksum__`` member) load without
-    verification for backward compatibility. A missing file still raises
-    :exc:`FileNotFoundError` — absence and corruption are different
-    operational problems.
+    :exc:`CorruptArchiveError` if the file cannot be decoded, carries no
+    ``__checksum__`` member, or its ``__checksum__`` does not match the
+    content. A missing file still raises :exc:`FileNotFoundError` —
+    absence and corruption are different operational problems.
     """
     final = npz_path(path)
     try:
@@ -258,15 +257,19 @@ def read_archive(path: str | Path) -> dict[str, np.ndarray]:
             raise
         raise CorruptArchiveError(f"archive {final} is unreadable: {exc}") from exc
     stored = arrays.pop("__checksum__", None)
-    if stored is not None:
-        expected = json_from_array(stored)
-        actual = archive_checksum(arrays)
-        if actual != expected:
-            raise CorruptArchiveError(
-                f"archive {final} failed its content checksum "
-                f"(stored {expected}, recomputed {actual}); the file is "
-                "corrupt — rebuild it from source or restore a backup"
-            )
+    if stored is None:
+        raise CorruptArchiveError(
+            f"archive {final} carries no content checksum, so its content "
+            "cannot be verified — rebuild it from source or restore a backup"
+        )
+    expected = json_from_array(stored)
+    actual = archive_checksum(arrays)
+    if actual != expected:
+        raise CorruptArchiveError(
+            f"archive {final} failed its content checksum "
+            f"(stored {expected}, recomputed {actual}); the file is "
+            "corrupt — rebuild it from source or restore a backup"
+        )
     return arrays
 
 

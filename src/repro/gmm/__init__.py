@@ -13,8 +13,8 @@ fully-tested implementation:
 * :class:`~repro.gmm.model.BatchPlan` — the row-chunking plan behind the
   bounded-memory ``batch_size`` option of every inference method;
 * :class:`~repro.gmm.model.FitPlan` — the block-aligned chunking plan of
-  the streaming fit engine (``fit_batch_size``), whose reductions make
-  chunked and unchunked fits bit-identical;
+  the streaming fit engine (``fit_batch_size``) over the distinct stacked
+  values, whose reductions make chunked and unchunked fits bit-identical;
 * :func:`~repro.gmm.kmeans.seed_restarts_1d` — restart-batched 1-D seeding
   shared by the serial and batched fit engines;
 * :func:`~repro.gmm.selection.select_n_components_bic` — the BIC sweep the

@@ -85,6 +85,10 @@ class BatchPlan:
 class FitPlan(BatchPlan):
     """Row-chunking plan for the streaming fit engine.
 
+    The fit engine plans over the *distinct* values of the stack (see
+    :class:`_BatchedEM`), so ``n_samples`` counts distinct values and
+    ``batch_size`` is distinct values per E-step chunk.
+
     Extends :class:`BatchPlan` with one extra guarantee the training path
     needs: every chunk boundary falls on a multiple of ``REDUCE_BLOCK``
     (the requested ``batch_size`` is rounded down to the nearest multiple,
@@ -138,14 +142,24 @@ def _logsumexp(a: np.ndarray, axis: int = 1) -> np.ndarray:
 class _BatchedEM:
     """Restart-stacked streaming EM core for 1-D mixtures.
 
+    EM touches the data only through per-value sums, so the engine runs
+    over ``np.unique(x, return_counts=True)``: each distinct value is
+    scored once and weighted by its multiplicity, while ``n`` stays the
+    total count. Stacked column values repeat heavily (integer-like ages
+    and counts), so fit cost scales with distinct values × restarts ×
+    components × iterations, not with the raw stack size. Seeding is not
+    folded: :func:`~repro.gmm.kmeans.seed_restarts_1d` and
+    :meth:`initial_from_random` read the raw stack.
+
     Runs ``A`` restarts as one vectorized EM over parameter arrays of shape
     ``(A, m)``: every iteration performs a single fused E-step/M-step for
     all restarts at once, streaming the E-step over :class:`FitPlan` chunks
-    so peak memory is ``O(batch_size * A * m)`` regardless of the corpus
-    size, and accumulating the M-step sufficient statistics with
-    :func:`_block_accumulate` so results are bit-identical for every
-    ``fit_batch_size``. Restarts whose lower bound converges are compressed
-    out of the stacked arrays and stop contributing compute.
+    of distinct values so peak memory is ``O(batch_size * A * m)`` beyond
+    the O(n) distinct-value and count arrays, and accumulating the M-step
+    sufficient statistics with :func:`_block_accumulate` so results are
+    bit-identical for every ``fit_batch_size``. Restarts whose lower bound
+    converges are compressed out of the stacked arrays and stop
+    contributing compute.
 
     Numerics mirror the legacy per-restart path (log-sum-exp E-step with
     the uniform-posterior fallback for fully-underflowed rows); the second
@@ -164,14 +178,18 @@ class _BatchedEM:
         tol: float,
         max_iter: int,
         reg_covar: float,
-        plan: FitPlan,
+        batch_size: int | None,
     ) -> None:
-        self.x = x
+        self.x = x  # the raw stack, for initial_from_random only
+        values, counts = np.unique(x, return_counts=True)
+        self.values = values
+        self.counts = counts.astype(np.float64)
+        self.n = x.size
         self.m = n_components
         self.tol = tol
         self.max_iter = max_iter
         self.reg_covar = reg_covar
-        self.plan = plan
+        self.plan = FitPlan(values.size, batch_size)
 
     # ------------------------------------------------------------- building
 
@@ -180,49 +198,50 @@ class _BatchedEM:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Initial (weights, means, variances) from ``(R, m)`` seed centres.
 
-        Streams two hard-assignment passes over the plan: the first
-        accumulates per-component counts and first moments via flat
-        ``np.bincount`` segment sums, the second accumulates squared
-        deviations around the freshly computed means — the centred initial
-        M-step in ``O(batch_size * R * m)`` memory, never materialising a
-        per-sample labels array. Accumulation runs on the fixed
-        ``REDUCE_BLOCK`` grid with per-component contributions in ascending
-        sample order, so the result is bit-identical for every
+        Streams two hard-assignment passes over the plan's distinct values:
+        the first accumulates per-component counts and first moments via
+        flat, multiplicity-weighted ``np.bincount`` segment sums, the second
+        accumulates squared deviations around the freshly computed means —
+        the centred initial M-step in ``O(batch_size * R * m)`` memory,
+        never materialising a per-value labels array. Accumulation runs on
+        the fixed ``REDUCE_BLOCK`` grid with per-component contributions in
+        ascending value order, so the result is bit-identical for every
         ``fit_batch_size`` and for any number of co-batched restarts.
         """
-        x, m = self.x, self.m
-        n = x.size
+        m = self.m
         R = centers.shape[0]
         block = FitPlan.REDUCE_BLOCK
         offsets = (np.arange(R) * m)[None, :]
         ridx = np.arange(R)[None, :]
 
         def _pass(means: np.ndarray | None) -> tuple[np.ndarray, ...]:
-            counts = np.zeros(R * m)
+            nk = np.zeros(R * m)
             s1 = np.zeros(R * m)
             s2 = np.zeros(R * m)
             for rows in self.plan:
-                xc = x[rows]
+                xc, cc = self.values[rows], self.counts[rows]
                 d2 = (xc[:, None, None] - centers[None]) ** 2  # (B, R, m)
                 lab = np.argmin(d2, axis=2)  # (B, R)
                 flat = lab + offsets
-                if means is not None:
-                    dev2 = (xc[:, None] - means[ridx, lab]) ** 2  # (B, R)
+                if means is None:
+                    cx = cc * xc
+                else:
+                    dev2 = (xc[:, None] - means[ridx, lab]) ** 2 * cc[:, None]  # (B, R)
                 for s in range(0, xc.size, block):
                     fb = flat[s : s + block].ravel()
                     if means is None:
-                        counts += np.bincount(fb, minlength=R * m)
-                        xb = np.broadcast_to(
-                            xc[s : s + block, None], flat[s : s + block].shape
-                        ).ravel()
+                        shape = flat[s : s + block].shape
+                        cb = np.broadcast_to(cc[s : s + block, None], shape).ravel()
+                        nk += np.bincount(fb, weights=cb, minlength=R * m)
+                        xb = np.broadcast_to(cx[s : s + block, None], shape).ravel()
                         s1 += np.bincount(fb, weights=xb, minlength=R * m)
                     else:
                         s2 += np.bincount(fb, weights=dev2[s : s + block].ravel(), minlength=R * m)
-            return counts, s1, s2
+            return nk, s1, s2
 
-        counts, s1, _ = _pass(None)
-        nk = counts.reshape(R, m) + 10.0 * np.finfo(float).tiny
-        weights = nk / n
+        nk, s1, _ = _pass(None)
+        nk = nk.reshape(R, m) + 10.0 * np.finfo(float).tiny
+        weights = nk / self.n
         means = s1.reshape(R, m) / nk
         _, _, s2 = _pass(means)
         var = s2.reshape(R, m) / nk + self.reg_covar
@@ -231,15 +250,17 @@ class _BatchedEM:
     def initial_from_random(self, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Initial parameters for ONE restart from random responsibilities.
 
-        The ``init='random'`` path. Responsibility rows are drawn and
-        row-normalised one ``REDUCE_BLOCK`` of samples at a time — never as
-        a dense ``(n, m)`` matrix — and the second pass re-draws the
-        identical stream from a fresh generator on the same seed, so peak
-        memory is ``O(REDUCE_BLOCK * m)`` and the result is independent of
-        ``fit_batch_size`` (the fixed block grid is the only chunking).
+        The ``init='random'`` path, and the one pass that reads the raw
+        stack: each sample draws its own responsibility row, as the paper
+        describes. Rows are drawn and row-normalised one ``REDUCE_BLOCK`` of
+        samples at a time — never as a dense ``(n, m)`` matrix — and the
+        second pass re-draws the identical stream from a fresh generator on
+        the same seed, so peak memory is ``O(REDUCE_BLOCK * m)`` and the
+        result is independent of ``fit_batch_size`` (the fixed block grid is
+        the only chunking).
         """
         x = self.x
-        n = x.size
+        n = self.n
         block = FitPlan.REDUCE_BLOCK
 
         def _blocks(rng: np.random.Generator):
@@ -273,9 +294,9 @@ class _BatchedEM:
         Returns block-accumulated sufficient statistics ``(nk, s1, s2c,
         ll_sum)`` where ``s2c`` is the second moment around the current
         means and ``ll_sum`` the per-restart sum of log marginal
-        likelihoods. A single ``exp`` pass per chunk produces the
-        responsibilities (the legacy path pays two), and all large
-        temporaries are reused across chunks.
+        likelihoods, each summed over every sample of the stack. A single
+        ``exp`` pass per chunk produces the responsibilities (the legacy
+        path pays two), and all large temporaries are reused across chunks.
         """
         A, m = weights.shape
         tiny = np.finfo(float).tiny
@@ -291,7 +312,7 @@ class _BatchedEM:
         prob = np.empty((width, A, m))
         tmp = np.empty((width, A, m))
         for rows in self.plan:
-            xc = self.x[rows]
+            xc, cc = self.values[rows], self.counts[rows]
             b = xc.size
             sq_b, prob_b, tmp_b = sq[:b], prob[:b], tmp[:b]
             with np.errstate(over="ignore", divide="ignore"):
@@ -317,6 +338,11 @@ class _BatchedEM:
                 log_norm = np.log(sumexp[..., 0]) + amax[..., 0]
                 if any_degenerate:
                     log_norm[degenerate] = -np.inf
+                # Weight each distinct value by its multiplicity inside the
+                # normalising divide: (B, A, 1) work, where scaling the
+                # (B, A, m) responsibilities would cost a full extra pass.
+                sumexp /= cc[:, None, None]
+                log_norm *= cc[:, None]
                 prob_b /= sumexp
             _block_accumulate(nk, prob_b)
             np.multiply(prob_b, xc[:, None, None], out=tmp_b)
@@ -343,7 +369,7 @@ class _BatchedEM:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Eqs. 3-5 from sufficient statistics accumulated around ``shift``."""
         nk = nk + 10.0 * np.finfo(float).tiny
-        weights = nk / self.x.size
+        weights = nk / self.n
         means = s1 / nk
         var = s2 / nk - (means - shift) ** 2 + self.reg_covar
         # The legacy centred M-step guarantees var >= reg_covar; the shifted
@@ -365,7 +391,7 @@ class _BatchedEM:
         restarts are frozen and compressed out of the working arrays.
         """
         R, m = weights.shape
-        n = self.x.size
+        n = self.n
         out_w = weights.copy()
         out_mu = means.copy()
         out_var = variances.copy()
@@ -429,11 +455,14 @@ class GaussianMixture:
         primitives (1-D) or the legacy loop (multivariate). The batched and
         serial 1-D paths are bit-identical per restart.
     fit_batch_size:
-        Rows per E-step chunk during fitting. ``None`` resolves to
+        Distinct values per E-step chunk during fitting (1-D EM runs over
+        the distinct values of the stack; seeding streams raw rows in
+        chunks of the same size). ``None`` resolves to
         ``FitPlan.DEFAULT_BATCH``; any value is rounded down to a multiple
         of ``FitPlan.REDUCE_BLOCK`` so every chunking yields bit-identical
         parameters. Peak fit memory for 1-D data is
-        ``O(fit_batch_size * n_init * n_components)``.
+        ``O(fit_batch_size * n_init * n_components)`` plus the O(n)
+        distinct-value and count arrays.
     random_state:
         Seed or generator.
 
@@ -495,9 +524,11 @@ class GaussianMixture:
         paper's use on stacked column values. On 1-D data the restarts run
         through the streaming engine (see ``fit_engine``):
         all ``n_init`` restarts advance together as one vectorized EM with
-        per-restart convergence masking, and the E-step streams over
-        ``fit_batch_size``-row chunks so peak memory never scales with the
-        corpus.
+        per-restart convergence masking, EM scores each distinct value once
+        weighted by its multiplicity, and the E-step streams over chunks of
+        ``fit_batch_size`` distinct values so its working set never scales
+        with the corpus. Fit cost scales with distinct values × restarts ×
+        components × iterations; seeding still reads every raw value.
         """
         X = check_array_2d(X, "X")
         if X.shape[0] < self.n_components:
@@ -533,6 +564,17 @@ class GaussianMixture:
             return "batched" if n_features == 1 else "serial"
         return self.fit_engine
 
+    def _engine(self, x: np.ndarray) -> _BatchedEM:
+        """The streaming 1-D EM over ``x``'s distinct values."""
+        return _BatchedEM(
+            x,
+            self.n_components,
+            tol=self.tol,
+            max_iter=self.max_iter,
+            reg_covar=self.reg_covar,
+            batch_size=self.fit_batch_size,
+        )
+
     def _fit_1d(self, x: np.ndarray, seeds: list[int], *, stacked: bool) -> dict:
         """Run all restarts through the streaming 1-D engine.
 
@@ -542,15 +584,7 @@ class GaussianMixture:
         per-restart arithmetic are shared, so both orders produce
         bit-identical parameters and pick the same winning restart.
         """
-        plan = FitPlan(x.size, self.fit_batch_size)
-        em = _BatchedEM(
-            x,
-            self.n_components,
-            tol=self.tol,
-            max_iter=self.max_iter,
-            reg_covar=self.reg_covar,
-            plan=plan,
-        )
+        em = self._engine(x)
         R = len(seeds)
         m = self.n_components
         if self.init == "random":
@@ -560,7 +594,9 @@ class GaussianMixture:
             for r, seed in enumerate(seeds):
                 w0[r], mu0[r], var0[r] = (a[0] for a in em.initial_from_random(seed))
         else:
-            centers = seed_restarts_1d(x, m, seeds, self.init, batch_size=plan.effective_batch_size)
+            # Seeding reads the raw stack, streamed in fit_batch_size rows.
+            seed_batch = FitPlan(x.size, self.fit_batch_size).effective_batch_size
+            centers = seed_restarts_1d(x, m, seeds, self.init, batch_size=seed_batch)
             w0, mu0, var0 = em.initial_from_centers(centers)
         if stacked:
             out_w, out_mu, out_var, bounds, n_iters, converged = em.run(w0, mu0, var0)
@@ -621,16 +657,7 @@ class GaussianMixture:
                 f"got {covariances.shape}"
             )
         if d == 1:
-            plan = FitPlan(X.shape[0], self.fit_batch_size)
-            em = _BatchedEM(
-                X[:, 0],
-                self.n_components,
-                tol=self.tol,
-                max_iter=self.max_iter,
-                reg_covar=self.reg_covar,
-                plan=plan,
-            )
-            out_w, out_mu, out_var, bounds, n_iters, converged = em.run(
+            out_w, out_mu, out_var, bounds, n_iters, converged = self._engine(X[:, 0]).run(
                 weights[None].copy(), means[:, 0][None].copy(), covariances[:, 0, 0][None].copy()
             )
             self.weights_ = out_w[0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import GemConfig, GemEmbedder, load_gem, save_gem
+from repro.core.persistence import archive_checksum, json_to_array
 
 FAST = GemConfig.fast(n_components=6, n_init=1, max_iter=60)
 
@@ -197,10 +198,10 @@ class TestBatchingFieldsRoundtrip:
             cfg_dict.pop(key)
         cfg_dict["retired_future_knob"] = 42
         arrays["config_json"] = np.frombuffer(json.dumps(cfg_dict).encode("utf-8"), dtype=np.uint8)
-        # A genuinely old archive predates content checksums; keeping the
-        # (now stale) checksum member would instead trip the corruption
-        # guard, which test_checksum below covers.
-        arrays.pop("__checksum__", None)
+        # Re-sign the edited payload: read_archive refuses an archive whose
+        # checksum is stale or missing, and this test is about the config.
+        arrays.pop("__checksum__")
+        arrays["__checksum__"] = json_to_array(archive_checksum(arrays))
         np.savez(path, **arrays)
         with pytest.warns(RuntimeWarning, match="retired_future_knob"):
             restored = load_gem(path)

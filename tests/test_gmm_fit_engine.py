@@ -11,7 +11,13 @@ The engine's two contracts are checked exactly as specified:
 * a chunked-E-step fit matches the unchunked fit **bit-for-bit** for any
   ``fit_batch_size`` (reductions run on a fixed block grid, so the
   summation tree never depends on the chunking).
+
+Both run on a continuous stack and on a duplicate-heavy one, because the
+engine scores each distinct value once, weighted by its multiplicity; a
+test-local EM over every raw sample is the oracle for that folding.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -24,6 +30,7 @@ from repro.gmm import (
     select_n_components_bic,
     split_components,
 )
+from repro.utils.rng import spawn_seeds
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +39,92 @@ def trimodal():
     return np.concatenate(
         [rng.normal(0, 1, 1500), rng.normal(12, 0.7, 900), rng.normal(30, 3, 600)]
     )
+
+
+@pytest.fixture(scope="module")
+def stacks(trimodal):
+    """The continuous stack, where almost nothing repeats, and two
+    duplicate-heavy roundings of it: integers (32 distinct values among
+    3000, inside one ``REDUCE_BLOCK``) and hundredths (about 1.2k distinct
+    values, so the distinct-value grid spans several blocks)."""
+    return {
+        "continuous": trimodal,
+        "repeated": np.round(trimodal),
+        "hundredths": np.round(trimodal, 2),
+    }
+
+
+def _on_both_stacks(*cases):
+    """Each case on the continuous stack under its plain id, then on the
+    duplicate-heavy stack under ``repeated-<id>``."""
+    params = []
+    for stack in ("continuous", "repeated"):
+        for case in cases:
+            ids = [str(v) for v in case]
+            if stack != "continuous":
+                ids.insert(0, stack)
+            params.append(pytest.param(stack, *case, id="-".join(ids)))
+    return params
+
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _raw_sample_em(x, weights, means, variances, *, tol, max_iter, reg_covar):
+    """Reference EM over every raw sample: no folding of repeats, no
+    chunking, no restart stacking.
+
+    E-step: log-sum-exp, with the uniform posterior for a sample whose every
+    component underflows. M-step: Eqs. 3-5, with variances floored at
+    ``reg_covar``. Stops once the mean log-likelihood moves less than
+    ``tol``. Returns ``(weights, means, variances, lower_bound, n_iter,
+    converged)``.
+    """
+    tiny = np.finfo(float).tiny
+    n, m = x.size, weights.size
+    bound = -np.inf
+    for it in range(1, max_iter + 1):
+        var = np.maximum(variances, tiny)
+        logp = np.log(np.maximum(weights, tiny)) - 0.5 * (
+            _LOG_2PI + np.log(var) + (x[:, None] - means) ** 2 / var
+        )
+        amax = logp.max(axis=1, keepdims=True)
+        amax = np.where(np.isfinite(amax), amax, 0.0)
+        p = np.exp(logp - amax)
+        s = p.sum(axis=1, keepdims=True)
+        degenerate = ~(s[:, 0] > 0)
+        p[degenerate] = 1.0
+        s[degenerate] = m
+        log_norm = np.log(s[:, 0]) + amax[:, 0]
+        log_norm[degenerate] = -np.inf
+        resp = p / s
+        nk = resp.sum(axis=0) + 10 * tiny
+        weights = nk / n
+        means = resp.T @ x / nk
+        variances = (resp * (x[:, None] - means) ** 2).sum(axis=0) / nk + reg_covar
+        variances = np.maximum(variances, max(reg_covar, tiny))
+        new_bound = float(log_norm.mean())
+        if abs(new_bound - bound) < tol:
+            return weights, means, variances, new_bound, it, True
+        bound = new_bound
+    return weights, means, variances, bound, max_iter, False
+
+
+def _quantile_start(x, m):
+    """A deterministic warm start: equal weights, quantile means, pooled variance."""
+    return np.full(m, 1.0 / m), np.quantile(x, (np.arange(m) + 0.5) / m), np.full(m, x.var())
+
+
+def _assert_matches_oracle(x, gm, start):
+    w, mu, var, bound, n_iter, converged = _raw_sample_em(
+        x, *start, tol=gm.tol, max_iter=gm.max_iter, reg_covar=gm.reg_covar
+    )
+    assert gm.n_iter_ == n_iter
+    assert gm.converged_ == converged
+    np.testing.assert_allclose(gm.lower_bound_, bound, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(gm.weights_, w, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(gm.means_[:, 0], mu, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(gm.covariances_[:, 0, 0], var, rtol=1e-9, atol=0)
 
 
 class TestFitPlan:
@@ -61,15 +154,18 @@ class TestFitPlan:
 class TestEngineEquivalence:
     """Satellite: batched-restart EM equals the serial restart loop."""
 
-    @pytest.mark.parametrize("n_init", [1, 4, 10])
-    @pytest.mark.parametrize("init", ["quantile", "kmeans", "random"])
-    def test_batched_matches_serial(self, trimodal, n_init, init):
+    @pytest.mark.parametrize(
+        "stack, init, n_init",
+        _on_both_stacks(*itertools.product(["quantile", "kmeans", "random"], [1, 4, 10])),
+    )
+    def test_batched_matches_serial(self, stacks, stack, init, n_init):
+        x = stacks[stack]
         serial = GaussianMixture(
             6, n_init=n_init, init=init, fit_engine="serial", random_state=7
-        ).fit(trimodal)
+        ).fit(x)
         batched = GaussianMixture(
             6, n_init=n_init, init=init, fit_engine="batched", random_state=7
-        ).fit(trimodal)
+        ).fit(x)
         assert abs(serial.lower_bound_ - batched.lower_bound_) <= 1e-10
         assert np.allclose(serial.weights_, batched.weights_, atol=1e-10, rtol=0)
         assert np.allclose(serial.means_, batched.means_, atol=1e-10, rtol=0)
@@ -107,14 +203,18 @@ class TestEngineEquivalence:
 class TestChunkedFitBitForBit:
     """Satellite: chunked-E-step fit == unchunked fit, bit for bit."""
 
-    @pytest.mark.parametrize("batch_size", [100, 512, 1024, 2048, 3500, 10**9])
-    def test_every_batch_size_identical(self, trimodal, batch_size):
+    @pytest.mark.parametrize(
+        "stack, batch_size",
+        _on_both_stacks(*[(b,) for b in [100, 512, 1024, 2048, 3500, 10**9]]),
+    )
+    def test_every_batch_size_identical(self, stacks, stack, batch_size):
+        x = stacks[stack]
         ref = GaussianMixture(
             5, n_init=3, fit_engine="batched", fit_batch_size=None, random_state=3
-        ).fit(trimodal)
+        ).fit(x)
         alt = GaussianMixture(
             5, n_init=3, fit_engine="batched", fit_batch_size=batch_size, random_state=3
-        ).fit(trimodal)
+        ).fit(x)
         assert ref.lower_bound_ == alt.lower_bound_
         assert np.array_equal(ref.weights_, alt.weights_)
         assert np.array_equal(ref.means_, alt.means_)
@@ -130,6 +230,58 @@ class TestChunkedFitBitForBit:
         ).fit(trimodal)
         assert ref.lower_bound_ == alt.lower_bound_
         assert np.array_equal(ref.means_, alt.means_)
+
+
+class TestDistinctValueEM:
+    """The engine folds repeats into per-value weights; the raw-sample EM
+    is the oracle for that folding."""
+
+    @pytest.mark.parametrize("stack", ["continuous", "repeated", "hundredths"])
+    @pytest.mark.parametrize("fit_batch_size", [512, None])
+    def test_fit_from_matches_raw_sample_oracle(self, stacks, stack, fit_batch_size):
+        x = stacks[stack]
+        w, mu, var = _quantile_start(x, 6)
+        gm = GaussianMixture(6, tol=1e-6, fit_batch_size=fit_batch_size)
+        gm.fit_from(x, w, mu, var.reshape(-1, 1, 1))
+        _assert_matches_oracle(x, gm, (w, mu, var))
+
+    @pytest.mark.parametrize("stack", ["continuous", "repeated", "hundredths"])
+    def test_seeded_fit_matches_raw_sample_oracle(self, stacks, stack):
+        """``fit`` from its seeded centres: the hard-assignment initial M-step
+        over raw samples, then the oracle EM."""
+        x = stacks[stack]
+        centers = seed_restarts_1d(x, 6, spawn_seeds(0, 1), "quantile")[0]
+        resp = np.eye(6)[np.argmin((x[:, None] - centers) ** 2, axis=1)]
+        nk = resp.sum(axis=0) + 10 * np.finfo(float).tiny
+        means = resp.T @ x / nk
+        gm = GaussianMixture(6, tol=1e-6, init="quantile", fit_batch_size=512, random_state=0)
+        gm.fit(x)
+        variances = (resp * (x[:, None] - means) ** 2).sum(axis=0) / nk + gm.reg_covar
+        _assert_matches_oracle(x, gm, (nk / x.size, means, variances))
+
+    @pytest.mark.parametrize("stack", ["continuous", "repeated", "hundredths"])
+    def test_fit_from_order_invariant(self, stacks, stack):
+        x = stacks[stack]
+        shuffled = np.random.default_rng(0).permutation(x)
+        w, mu, var = _quantile_start(x, 6)
+        ref = GaussianMixture(6, tol=1e-6).fit_from(x, w, mu, var.reshape(-1, 1, 1))
+        alt = GaussianMixture(6, tol=1e-6).fit_from(shuffled, w, mu, var.reshape(-1, 1, 1))
+        assert ref.lower_bound_ == alt.lower_bound_
+        assert np.array_equal(ref.weights_, alt.weights_)
+        assert np.array_equal(ref.means_, alt.means_)
+        assert np.array_equal(ref.covariances_, alt.covariances_)
+        assert ref.n_iter_ == alt.n_iter_
+
+    def test_fewer_distinct_values_than_components(self):
+        x = np.random.default_rng(1).permutation(np.repeat([1.0, 2.0, 5.0, 9.0], [50, 30, 15, 5]))
+        w, mu, var = _quantile_start(x, 6)
+        gm = GaussianMixture(6).fit_from(x, w, mu, var.reshape(-1, 1, 1))
+        _assert_matches_oracle(x, gm, (w, mu, var))
+        for init in ("quantile", "kmeans", "random"):
+            fitted = GaussianMixture(6, n_init=3, init=init, random_state=0).fit(x)
+            params = (fitted.weights_, fitted.means_, fitted.covariances_, fitted.lower_bound_)
+            assert all(np.all(np.isfinite(p)) for p in params), init
+            assert np.isclose(fitted.weights_.sum(), 1.0)
 
 
 class TestSeedRestarts:

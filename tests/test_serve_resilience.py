@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core import GemEmbedder, save_gem
+from repro.core import GemEmbedder, load_gem, save_gem
 from repro.core.persistence import (
     CorruptArchiveError,
     archive_checksum,
@@ -489,6 +489,23 @@ class TestAtomicPersistence:
                 read_archive(path)
             gc.collect()  # an unclosed handle warns when collected
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    @pytest.mark.parametrize("kind", ["gem", "index"])
+    def test_archive_without_checksum_is_refused(self, fitted, corpus, tmp_path, kind):
+        """Deleting the checksum member must not switch verification off."""
+        path = tmp_path / f"{kind}.npz"
+        if kind == "gem":
+            save_gem(fitted, path)
+            loader = load_gem
+        else:
+            save_index(fitted.build_index(corpus), path)
+            loader = load_index
+        with np.load(path) as payload:
+            arrays = {name: payload[name] for name in payload.files}
+        del arrays["__checksum__"]
+        np.savez(path, **arrays)
+        with pytest.raises(CorruptArchiveError, match=f"{kind}.npz carries no content checksum"):
+            loader(path)
 
     def test_missing_file_stays_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
