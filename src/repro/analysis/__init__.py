@@ -12,8 +12,7 @@ Analysis runs in **two stages**:
 * the per-file stage — a visitor/rule-registry **engine**
   (:mod:`repro.analysis.engine`) parses each file once and dispatches AST
   nodes to every registered :class:`Rule` (:mod:`repro.analysis.rules`,
-  the GEM-* families in the README's rule catalog); embarrassingly
-  parallel (``--jobs N``), restrictable to changed files (``--since``);
+  the GEM-* families in the README's rule catalog);
 * the project-graph stage — :mod:`repro.analysis.graph` builds the module
   import graph, symbol table and conservative call graph over the whole
   project, and :mod:`repro.analysis.flow` runs the cross-module,
@@ -30,15 +29,10 @@ Shared machinery spans both stages:
 * a reviewed **baseline** (:mod:`repro.analysis.baseline`) for findings
   that predate a rule, each entry carrying a written justification;
 * a CLI (``python -m repro.analysis``) with ``--format github`` for CI
-  annotation, ``--format sarif`` for SARIF 2.1.0 consumers and
-  ``--format markdown --list-rules`` for the generated rule table in
-  ``docs/cli.md``, wired into the lint job as a gate; ``--jobs N``
-  parallelizes the per-file stage, ``--since GIT_REF`` restricts it to
-  changed files, and ``--prune-stale`` rewrites the baseline dropping
-  entries whose findings no longer exist;
-* an opt-in runtime counterpart, **gemsan**
-  (:mod:`repro.analysis.sanitizer`): a lock-order recorder whose dynamic
-  acquisition graph is cross-checked against GEM-C03's static one.
+  annotation and ``--format markdown --list-rules`` for the generated
+  rule table in ``docs/cli.md``, wired into the lint job as a gate;
+  ``--prune-stale`` rewrites the baseline dropping entries whose findings
+  no longer exist.
 
 The package is deliberately stdlib-only (``ast``, ``json``, ``argparse``)
 and touches nothing at runtime: importing :mod:`repro` never imports it,
@@ -53,7 +47,6 @@ from repro.analysis.engine import (
     all_project_rules,
     all_rules,
     analyze_file,
-    analyze_paths,
     analyze_project,
     analyze_project_sources,
     analyze_source,
@@ -72,7 +65,6 @@ __all__ = [
     "all_project_rules",
     "all_rules",
     "analyze_file",
-    "analyze_paths",
     "analyze_project",
     "analyze_project_sources",
     "analyze_source",

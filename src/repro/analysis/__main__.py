@@ -2,32 +2,25 @@
 
 Exit codes: 0 clean (everything baselined/suppressed with a reason),
 1 findings or stale baseline entries, 2 configuration errors (unreadable
-baseline, empty justification, unknown rule, bad --since ref).
+baseline, empty justification, unknown rule or option).
 
 Typical invocations::
 
     python -m repro.analysis src                    # gate the library
     python -m repro.analysis src --format github    # CI annotations
-    python -m repro.analysis src --format sarif     # SARIF 2.1.0 log
-    python -m repro.analysis src --jobs 4           # parallel per-file stage
-    python -m repro.analysis src --since HEAD~1     # pre-commit quick mode
     python -m repro.analysis src --prune-stale      # rewrite the baseline
     python -m repro.analysis src --write-baseline   # skeleton to review
     python -m repro.analysis --list-rules           # the rule catalog
 
-Two stages run on every invocation: the per-file AST rules (parallelized
-by ``--jobs``, restricted by ``--since``) and the project-graph rules
-(GEM-C03/C04/R02/R03), which always see the *whole* project — a
-lock-order cycle or a dropped deadline spans files, so analyzing only
-the changed ones would silently miss exactly the hazards the stage
-exists for. The graph stage shares one parse pass, so whole-project is
-still fast enough for pre-commit.
+Two stages run on every invocation over the whole of the given paths: the
+per-file AST rules and the project-graph rules (GEM-C03/C04/R02/R03) — a
+lock-order cycle or a dropped deadline spans files, so the graph stage
+needs every module at once.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -38,14 +31,7 @@ from repro.analysis.baseline import (
     write_baseline,
     write_entries,
 )
-from repro.analysis.engine import (
-    _display_path,
-    all_project_rules,
-    all_rules,
-    analyze_project,
-    iter_python_files,
-    project_rule_registry,
-)
+from repro.analysis.engine import all_project_rules, all_rules, analyze_project
 
 DEFAULT_BASELINE = "gemlint-baseline.json"
 
@@ -56,14 +42,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="gemlint: AST + project-graph checks for the repo's "
         "determinism, RNG, lock, copy-on-write, layering, deadline and "
         "resource contracts. Two stages run on every invocation: the "
-        "per-file AST rules (parallelized by --jobs, restricted by "
-        "--since) and the project-graph rules (GEM-C03/C04/R02/R03), "
-        "which always analyze the whole project.",
+        "per-file AST rules and the project-graph rules "
+        "(GEM-C03/C04/R02/R03).",
         epilog="exit codes: 0 clean (everything baselined/suppressed "
         "with a reason); 1 findings or stale baseline entries; 2 "
         "configuration errors (unreadable baseline, empty justification, "
-        "unknown rule, bad --since ref, --format markdown without "
-        "--list-rules)",
+        "unknown rule or option, --format markdown without --list-rules)",
     )
     parser.add_argument(
         "paths",
@@ -73,28 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "github", "sarif", "markdown"),
+        choices=("text", "github", "markdown"),
         default="text",
         help="finding output style; 'github' emits ::error workflow "
-        "commands, 'sarif' a SARIF 2.1.0 log on stdout; 'markdown' is "
-        "only valid with --list-rules and renders the rule catalog as "
-        "the table embedded in docs/cli.md",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the per-file stage (output is "
-        "byte-identical to serial; the graph stage stays serial)",
-    )
-    parser.add_argument(
-        "--since",
-        default=None,
-        metavar="GIT_REF",
-        help="per-file stage only analyzes files changed since GIT_REF "
-        "(graph rules still see the whole project — cross-module cycles "
-        "don't respect diff boundaries)",
+        "commands; 'markdown' is only valid with --list-rules and renders "
+        "the rule catalog as the table embedded in docs/cli.md",
     )
     parser.add_argument(
         "--baseline",
@@ -116,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--prune-stale",
         action="store_true",
         help="rewrite the baseline dropping stale entries (justifications "
-        "of surviving entries are preserved); incompatible with --since",
+        "of surviving entries are preserved)",
     )
     parser.add_argument(
         "--select",
@@ -153,45 +120,6 @@ def _print_rules(fmt: str = "text") -> None:
         print(f"    motivated by: {rule.motivation}")
 
 
-def _changed_since(ref: str, paths: Sequence[Path]) -> list[Path] | None:
-    """Python files under ``paths`` changed since ``ref`` (plus untracked).
-
-    Returns None when git cannot resolve the ref (caller exits 2).
-    """
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", "-z", ref, "--"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard", "-z"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", "") or str(exc)
-        print(f"gemlint: --since {ref}: {detail.strip()}", file=sys.stderr)
-        return None
-    names = [n for n in (diff.stdout + untracked.stdout).split("\0") if n]
-    bases = [p.resolve() for p in paths]
-    changed: list[Path] = []
-    for name in sorted(set(names)):
-        if not name.endswith(".py"):
-            continue
-        candidate = Path(name)
-        if not candidate.exists():
-            continue  # deleted since ref
-        resolved = candidate.resolve()
-        if any(
-            resolved == base or base in resolved.parents for base in bases
-        ):
-            changed.append(candidate)
-    return changed
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.list_rules:
@@ -201,13 +129,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(
             "gemlint: --format markdown renders the rule catalog and is "
             "only valid with --list-rules",
-            file=sys.stderr,
-        )
-        return 2
-    if args.prune_stale and args.since:
-        print(
-            "gemlint: --prune-stale needs a full run to know what is stale; "
-            "it cannot be combined with --since",
             file=sys.stderr,
         )
         return 2
@@ -235,19 +156,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"gemlint: no such path(s): {missing}", file=sys.stderr)
         return 2
 
-    file_subset: Sequence[Path] | None = None
-    if args.since:
-        file_subset = _changed_since(args.since, paths)
-        if file_subset is None:
-            return 2
-    findings = analyze_project(
-        paths,
-        root=root,
-        rules=rules,
-        project_rules=project_rules,
-        jobs=max(args.jobs, 1),
-        file_subset=file_subset,
-    )
+    findings = analyze_project(paths, root=root, rules=rules, project_rules=project_rules)
 
     baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
     if args.write_baseline:
@@ -267,20 +176,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"gemlint: {exc}", file=sys.stderr)
             return 2
         findings, stale = baseline.apply(findings)
-        if args.since:
-            # Per-file-rule entries for files outside the changed subset
-            # never had a chance to match this run — not evidence of
-            # staleness. Graph-rule entries always ran whole-project.
-            analyzed = {
-                _display_path(p, root)
-                for p in iter_python_files(file_subset or [])
-            }
-            graph_ids = set(project_rule_registry())
-            stale = [
-                entry
-                for entry in stale
-                if entry.rule in graph_ids or entry.path in analyzed
-            ]
         if args.prune_stale and stale:
             stale_ids = {id(entry) for entry in stale}
             survivors = [e for e in baseline.entries if id(e) not in stale_ids]
@@ -293,25 +188,20 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
             stale = []
 
-    if args.format == "sarif":
-        from repro.analysis.sarif import dump_sarif
-
-        print(dump_sarif(findings, stale, rules + project_rules, str(baseline_path)))
-    else:
-        for finding in findings:
-            if args.format == "github":
-                print(finding.render_github())
-            else:
-                print(finding.render())
-        for entry in stale:
-            message = (
-                f"stale baseline entry (no matching finding): {entry.render()} — "
-                "delete it from the baseline (or run --prune-stale)"
-            )
-            if args.format == "github":
-                print(f"::error file={baseline_path},title=gemlint baseline::{message}")
-            else:
-                print(f"{baseline_path}: {message}")
+    for finding in findings:
+        if args.format == "github":
+            print(finding.render_github())
+        else:
+            print(finding.render())
+    for entry in stale:
+        message = (
+            f"stale baseline entry (no matching finding): {entry.render()} — "
+            "delete it from the baseline (or run --prune-stale)"
+        )
+        if args.format == "github":
+            print(f"::error file={baseline_path},title=gemlint baseline::{message}")
+        else:
+            print(f"{baseline_path}: {message}")
 
     total = len(findings) + len(stale)
     print(

@@ -470,22 +470,8 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
             yield sub
 
 
-def analyze_paths(
-    paths: Sequence[Path],
-    *,
-    root: Path | None = None,
-    rules: Sequence[Rule] | None = None,
-) -> list[Finding]:
-    """Analyze every python file under ``paths``, sorted findings."""
-    findings: list[Finding] = []
-    for file in iter_python_files(paths):
-        findings.extend(analyze_file(file, root=root, rules=rules))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
 # --------------------------------------------------------------------------
-# Two-stage analysis: parallel per-file dispatch, then the project graph.
+# Two-stage analysis: per-file dispatch, then the project graph.
 
 
 def _display_path(path: Path, root: Path | None) -> str:
@@ -495,22 +481,6 @@ def _display_path(path: Path, root: Path | None) -> str:
         except ValueError:
             pass
     return path.as_posix()
-
-
-def _analysis_worker(task: tuple[str, str | None, tuple[str, ...] | None]) -> list[Finding]:
-    """Process-pool worker for the per-file stage.
-
-    Takes only picklable primitives (path, root, selected rule ids) and
-    returns plain findings; the worker re-resolves rule instances from
-    the registry so no AST or rule object ever crosses the pipe.
-    """
-    path_str, root_str, rule_ids = task
-    rules = None
-    if rule_ids is not None:
-        registry = rule_registry()
-        rules = [registry[rid] for rid in rule_ids if rid in registry]
-    root = Path(root_str) if root_str is not None else None
-    return analyze_file(Path(path_str), root=root, rules=rules)
 
 
 def _project_units(
@@ -575,35 +545,16 @@ def analyze_project(
     root: Path | None = None,
     rules: Sequence[Rule] | None = None,
     project_rules: Sequence[ProjectRule] | None = None,
-    jobs: int = 1,
-    file_subset: Sequence[Path] | None = None,
 ) -> list[Finding]:
     """Run both stages over ``paths``; the full-analysis entry point.
 
-    The per-file stage analyzes ``file_subset`` when given (``--since``
-    changed-files mode) and can fan out over ``jobs`` worker processes;
-    results are gathered in submission order and sorted, so output is
-    byte-identical to a serial run. The project-graph stage always runs
-    over *all* of ``paths`` serially — cross-module rules are meaningless
-    on a subset, and graph construction is one shared pass, not per-file
-    work worth sharding.
+    The per-file stage analyzes each file on its own; the project-graph
+    stage then builds one graph over all of ``paths``. Findings of both
+    come back sorted by path, line, column and rule.
     """
-    file_paths = list(iter_python_files(file_subset if file_subset is not None else paths))
     findings: list[Finding] = []
-    if jobs > 1 and len(file_paths) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        rule_ids = tuple(r.id for r in rules) if rules is not None else None
-        tasks = [
-            (str(p), str(root) if root is not None else None, rule_ids)
-            for p in file_paths
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(_analysis_worker, tasks, chunksize=4):
-                findings.extend(batch)
-    else:
-        for file in file_paths:
-            findings.extend(analyze_file(file, root=root, rules=rules))
+    for file in iter_python_files(paths):
+        findings.extend(analyze_file(file, root=root, rules=rules))
     units = _project_units(paths, root)
     findings.extend(_run_project_stage(units, project_rules))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))

@@ -22,9 +22,8 @@ Four rule families consume :class:`~repro.analysis.graph.ProjectGraph`:
   (returned, stored, passed on) are recognised as owned elsewhere.
 
 The shared :class:`_Concurrency` analysis (region walk + transitive
-summaries) also backs :func:`build_lock_graph`, which the runtime
-sanitizer (:mod:`repro.analysis.sanitizer`) cross-checks its dynamic
-acquisition graph against.
+summaries) also backs :func:`build_lock_graph`, the lock-site map and
+acquisition-order edges GEM-C03 reports cycles in.
 """
 
 from __future__ import annotations
@@ -302,9 +301,8 @@ def build_lock_graph(
 ]:
     """(creation-site -> lock, acquisition-order edges) for the project.
 
-    The site map keys are ``(path, lineno)`` of the creating assignment —
-    the join key the runtime sanitizer uses to map dynamically observed
-    locks back onto the static graph.
+    The site map keys are ``(path, lineno)`` of the creating assignment,
+    so a finding can point at the line that declares each lock.
     """
     sites = {(path, line): lock for lock, path, line in iter_lock_sites(project)}
     return sites, _Concurrency(project).lock_edges()

@@ -32,8 +32,8 @@ from typing import Iterable, Iterator, Sequence
 
 #: ``self.X = threading.<factory>()`` assignments that make ``X`` a lock
 #: site. Wider than GEM-C01's set on purpose: semaphores and events own
-#: an internal lock whose *runtime* acquisitions the sanitizer must be
-#: able to map back to a static site.
+#: an internal lock, so the lock-order graph tracks them as lock sites
+#: too.
 LOCK_FACTORIES = frozenset(
     {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore", "Event"}
 )

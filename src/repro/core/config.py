@@ -19,14 +19,15 @@ _NORMALIZATIONS = ("l1", "l2", "none")
 _FIT_MODES = ("stacked", "per_column")
 _VALUE_TRANSFORMS = ("none", "log_squash", "standardize")
 _COMPOSITIONS = ("concatenation", "aggregation", "autoencoder")
-_FIT_ENGINES = ("auto", "batched", "serial")
 _INDEX_BACKENDS = ("exact", "ivf", "pq")
 _INDEX_DTYPES = ("float64", "float32")
-# Serving policy that archives and manifests written before it moved to
-# GemService still carry; never part of the model fingerprint, so it is
-# dropped on read without a warning.
+# Keys that archives and manifests written by older versions still carry
+# (the serving policy that moved to GemService, and the removed fit-engine
+# switch); none is part of the model fingerprint, so they are dropped on
+# read without a warning.
 _RETIRED_KEYS = frozenset(
     {
+        "fit_engine",
         "serve_batch_window_ms",
         "serve_max_batch",
         "serve_max_workers",
@@ -64,12 +65,6 @@ class GemConfig:
         when reproducing the paper's sweep exactly.
     tol / n_init / max_iter / covariance_floor:
         EM parameters (§3.1, §4.1.4).
-    fit_engine:
-        Training engine: ``"auto"`` (default) runs all ``n_init`` restarts
-        simultaneously as one restart-vectorized streaming EM on the 1-D
-        stacked values; ``"batched"`` forces that engine; ``"serial"`` runs
-        restarts one at a time through the same primitives (bit-identical
-        results, for debugging/benchmarking).
     fit_batch_size:
         Distinct values per E-step chunk while *fitting* the shared GMM:
         EM runs over the distinct stacked values, each weighted by its
@@ -180,7 +175,6 @@ class GemConfig:
     n_init: int = 10
     max_iter: int = 200
     covariance_floor: float = 1e-6
-    fit_engine: str = "auto"
     fit_batch_size: int | None = None
     gmm_init: str = "quantile"
     feature_clip: float = 3.0
@@ -222,8 +216,6 @@ class GemConfig:
             raise ValueError(
                 f"gmm_init must be 'quantile', 'kmeans' or 'random', got {self.gmm_init!r}"
             )
-        if self.fit_engine not in _FIT_ENGINES:
-            raise ValueError(f"fit_engine must be one of {_FIT_ENGINES}, got {self.fit_engine!r}")
         if self.fit_batch_size is not None and self.fit_batch_size < 1:
             raise ValueError(f"fit_batch_size must be None or >= 1, got {self.fit_batch_size}")
         if self.feature_clip <= 0:
@@ -328,8 +320,9 @@ class GemConfig:
         version lacks (or miss ones it has); unknown keys are dropped
         with a warning — not silently, a typo'd hand-edited key must be
         noticed — and missing ones fall back to the dataclass defaults.
-        The retired ``serve_*`` serving-policy keys (now
-        :class:`~repro.serve.GemService` arguments) are dropped silently.
+        Retired keys — the ``serve_*`` serving policy (now
+        :class:`~repro.serve.GemService` arguments) and the old fit-engine
+        switch — are dropped silently.
         Field values are re-validated by ``__post_init__``, so a
         hand-edited manifest cannot smuggle in an invalid configuration.
         """

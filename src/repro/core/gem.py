@@ -50,8 +50,9 @@ def _balance_structure(cfg: GemConfig) -> tuple[bool, bool]:
 
     Returns ``(joint, multi)``: whether the D+S signature derives a joint
     feature-block scale, and whether ``balance_blocks`` equalises multiple
-    blocks. The freezing logic and the corpus-dependence guard both key on
-    this pair — keep them reading one definition so they cannot drift.
+    blocks. The freezing logic, the per_column corpus-dependence guard and
+    ``load_gem``'s archive check all key on this pair — keep them reading
+    one definition so they cannot drift.
     """
     joint = cfg.use_distributional and cfg.use_statistical
     n_blocks = int(cfg.use_distributional or cfg.use_statistical) + int(cfg.use_contextual)
@@ -172,7 +173,6 @@ class GemEmbedder:
                 max_iter=cfg.max_iter,
                 reg_covar=cfg.covariance_floor,
                 init=cfg.gmm_init,
-                fit_engine=cfg.fit_engine,
                 fit_batch_size=cfg.fit_batch_size,
                 random_state=cfg.random_state,
             ).fit(stacked.reshape(-1, 1))
@@ -253,7 +253,6 @@ class GemEmbedder:
                 init=cfg.gmm_init,
                 warm_start=cfg.warm_start_bic,
                 n_workers=cfg.n_workers,
-                fit_engine=cfg.fit_engine,
                 fit_batch_size=cfg.fit_batch_size,
                 random_state=cfg.random_state,
             )
@@ -450,7 +449,6 @@ class GemEmbedder:
             max_iter=cfg.max_iter,
             reg_covar=cfg.covariance_floor,
             init=cfg.gmm_init,
-            fit_engine=cfg.fit_engine,
             fit_batch_size=cfg.fit_batch_size,
             random_state=random_state,
         ).fit(v.reshape(-1, 1))
@@ -511,8 +509,9 @@ class GemEmbedder:
         In stacked mode every corpus-level statistic the transform uses —
         feature standardisation, the signature's feature-block scale, the
         ``balance_blocks`` per-block norms — is frozen on the fit corpus
-        (see ``_freeze_balance``), so embedding a column yields the same
-        row whatever corpus it arrives in. Two configurations remain
+        (see ``_freeze_balance``; ``load_gem`` refuses an archive that
+        lacks them), so embedding a column yields the same row whatever
+        corpus it arrives in. Two configurations remain
         genuinely corpus-dependent: the autoencoder composition trains its
         projection on each transformed corpus, and ``per_column`` mode
         fits its distributional block at transform time so the balance
@@ -524,28 +523,15 @@ class GemEmbedder:
         cfg = self.config
         if cfg.composition == "autoencoder":
             return True
-        joint, multi = _balance_structure(cfg)
-        if cfg.fit_mode != "stacked":
-            # per_column fits its distributional block at transform time:
-            # the balance statistics cannot be frozen, and a stateful
-            # Generator seed additionally makes even repeat transforms of
-            # the same corpus differ (fresh per-column seeds are drawn per
-            # call), so rows from separate calls are never comparable.
-            return (
-                joint
-                or multi
-                or isinstance(cfg.random_state, np.random.Generator)
-            )
-        if not (joint or multi):
+        if cfg.fit_mode == "stacked":
             return False
-        if getattr(self, "_fitted", False) is not True:
-            return False  # fit() will freeze the balance statistics
-        # A fitted stacked embedder normally carries frozen statistics, but
-        # one restored from a pre-freezing archive does not — its transform
-        # falls back to per-corpus balance and really is corpus-dependent.
-        return (joint and self._signature_balance is None) or (
-            multi and self._block_norms is None
-        )
+        # per_column fits its distributional block at transform time: the
+        # balance statistics cannot be frozen, and a stateful Generator seed
+        # additionally makes even repeat transforms of the same corpus
+        # differ (fresh per-column seeds are drawn per call), so rows from
+        # separate calls are never comparable.
+        joint, multi = _balance_structure(cfg)
+        return joint or multi or isinstance(cfg.random_state, np.random.Generator)
 
     def build_index(
         self,

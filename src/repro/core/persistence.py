@@ -1,15 +1,17 @@
 """Persistence for fitted Gem embedders.
 
 A fitted :class:`~repro.core.gem.GemEmbedder` is a corpus-level model (GMM
-parameters + feature standardisation + config); deployments fit once over a
-data lake and embed new columns later. ``save_gem`` / ``load_gem`` round-trip
-everything through a single ``.npz`` archive (config as embedded JSON,
-arrays natively). The transform-engine knobs (``batch_size``,
-``cache_signatures``, ``n_workers``) and the fit-engine knobs
-(``fit_engine``, ``fit_batch_size``, ``warm_start_bic``) travel with the
-config, so a reloaded embedder refits with the same engine and memory
+parameters + feature standardisation + frozen balance statistics +
+config); deployments fit once over a data lake and embed new columns
+later. ``save_gem`` / ``load_gem`` round-trip everything through a single
+``.npz`` archive (config as embedded JSON, arrays natively). The
+transform-engine knobs (``batch_size``, ``cache_signatures``,
+``n_workers``) and the fit knobs (``fit_batch_size``, ``warm_start_bic``)
+travel with the config, so a reloaded embedder refits with the same memory
 profile; the signature cache itself is transient and starts empty on
-load.
+load. ``load_gem`` refuses an archive without a content checksum
+(:exc:`CorruptArchiveError`) and a stacked-mode archive without the frozen
+balance statistics its config needs (:exc:`ValueError`).
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ import numpy as np
 
 from repro.core.cache import array_fingerprint
 from repro.core.config import GemConfig
-from repro.core.gem import GemEmbedder
+from repro.core.gem import GemEmbedder, _balance_structure
 from repro.gmm.model import GaussianMixture
 
 # Config fields that change what a fitted embedder outputs at transform
-# time. Engine/fit-time knobs (batch_size, fit_engine, n_init, …) are
+# time. Engine/fit-time knobs (batch_size, fit_batch_size, n_init, …) are
 # deliberately absent: they shape *how* the frozen parameters below were
 # obtained or are applied, not the embedding space itself, so two embedders
 # differing only in those serve interchangeable rows. Exception: under
@@ -360,9 +362,18 @@ def load_gem(path: str | Path) -> GemEmbedder:
     """Load an embedder previously written by :func:`save_gem`.
 
     The returned embedder is ready to ``transform`` new corpora; the fitted
-    GMM and feature standardisation are restored exactly. The archive's
-    content checksum is verified first (:exc:`CorruptArchiveError` on
-    mismatch).
+    GMM, feature standardisation and balance statistics are restored
+    exactly. The archive's content checksum is verified first
+    (:exc:`CorruptArchiveError` on mismatch).
+
+    Raises
+    ------
+    ValueError
+        If a ``fit_mode="stacked"`` archive lacks a frozen balance statistic
+        its config needs: ``signature_balance`` for a joint D+S signature,
+        ``block_norms`` when ``balance_blocks`` equalises several blocks.
+        Without it the transform would fall back to per-corpus balance, so
+        rows embedded from different corpora could not be compared.
     """
     payload = read_archive(path)
     cfg_dict = json_from_array(payload["config_json"])
@@ -373,6 +384,19 @@ def load_gem(path: str | Path) -> GemEmbedder:
     # defaults, so batching knobs like batch_size/cache_signatures
     # round-trip when present.
     config = GemConfig.from_manifest_dict(cfg_dict)
+    if config.fit_mode == "stacked":
+        joint, multi = _balance_structure(config)
+        missing = [
+            name
+            for name, needed in (("signature_balance", joint), ("block_norms", multi))
+            if needed and name not in payload
+        ]
+        if missing:
+            raise ValueError(
+                f"gem archive {npz_path(path)} lacks the frozen balance "
+                f"statistics {missing} its config needs, so its transform "
+                "would depend on the corpus; refit and re-save the model"
+            )
     gem = GemEmbedder(config=config)
     gem._feature_mean = payload["feature_mean"]
     gem._feature_std = payload["feature_std"]
@@ -393,7 +417,6 @@ def load_gem(path: str | Path) -> GemEmbedder:
             max_iter=config.max_iter,
             reg_covar=config.covariance_floor,
             init=config.gmm_init,
-            fit_engine=config.fit_engine,
             fit_batch_size=config.fit_batch_size,
             random_state=config.random_state,
         )

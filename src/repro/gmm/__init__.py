@@ -6,17 +6,17 @@ available in this environment, so this subpackage provides a compatible,
 fully-tested implementation:
 
 * :class:`~repro.gmm.kmeans.KMeans` — Lloyd's algorithm with k-means++
-  seeding, used to initialise EM (and reusable as a clustering primitive);
-* :class:`~repro.gmm.model.GaussianMixture` — full-covariance GMM with
-  log-sum-exp-stabilised E-step, the M-step updates of Eqs. 3-5, ``n_init``
-  restarts and a covariance floor;
+  seeding, the IVF/PQ quantizer and a reusable clustering primitive;
+* :class:`~repro.gmm.model.GaussianMixture` — 1-D GMM over the stacked
+  column values, with a log-sum-exp-stabilised E-step, the M-step updates
+  of Eqs. 3-5, ``n_init`` restart-vectorized restarts and a variance floor;
 * :class:`~repro.gmm.model.BatchPlan` — the row-chunking plan behind the
   bounded-memory ``batch_size`` option of every inference method;
 * :class:`~repro.gmm.model.FitPlan` — the block-aligned chunking plan of
   the streaming fit engine (``fit_batch_size``) over the distinct stacked
   values, whose reductions make chunked and unchunked fits bit-identical;
 * :func:`~repro.gmm.kmeans.seed_restarts_1d` — restart-batched 1-D seeding
-  shared by the serial and batched fit engines;
+  of the fit engine;
 * :func:`~repro.gmm.selection.select_n_components_bic` — the BIC sweep the
   paper uses to argue component-count robustness (§4.1.4, Figure 4), now a
   warm-started parallel sweep returning a

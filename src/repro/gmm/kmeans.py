@@ -1,8 +1,9 @@
 """K-means clustering with k-means++ seeding.
 
-Used to initialise the GMM's EM iterations (the standard trick to avoid the
-worst local optima of random-responsibility starts) and as a general
-clustering primitive elsewhere in the library.
+K-means++ seeding initialises the GMM's EM iterations (the standard trick
+to avoid the worst local optima of random-responsibility starts), and the
+:class:`KMeans` estimator is a general clustering primitive elsewhere in
+the library (the IVF and PQ quantizers).
 
 Besides the :class:`KMeans` estimator, this module provides the
 restart-batched 1-D seeding path of the streaming fit engine
@@ -206,7 +207,7 @@ def _lloyd_restarts_1d(
     ``REDUCE_BLOCK``-row grid and per-cluster contributions arrive in
     ascending sample order, so the refined centres are bit-identical for
     every ``batch_size`` and for any number of co-batched restarts — the
-    property the fit engine's serial/batched and chunked/unchunked
+    property the fit engine's chunked/unchunked and per-restart
     equivalence guarantees rest on.
 
     With ``tol`` set, a restart whose inertia decrease falls below it is
@@ -295,7 +296,7 @@ def seed_restarts_1d(
     stochastic choices from ``np.random.default_rng(seeds[r])`` only, and
     the Lloyd refinement treats restarts independently, so each returned
     centre row is bit-identical no matter how many restarts share the call
-    — the serial and batched fit engines see the same seeds. The
+    — a restart seeded alone sees the same centres. The
     refinement streams over ``batch_size``-row chunks and never stores a
     per-sample array (see :func:`_lloyd_restarts_1d`).
 
@@ -305,8 +306,8 @@ def seed_restarts_1d(
       Lloyd rounds without empty-cluster repair (density-proportional
       seeding for heavy-tailed stacks);
     * ``"kmeans"`` — per-restart k-means++ centres refined by up to 15
-      Lloyd rounds with empty-cluster repair (the seeding the serial path
-      historically ran through :class:`KMeans`).
+      Lloyd rounds with empty-cluster repair (the :class:`KMeans`
+      strategy).
 
     ``"random"`` initialisation draws dense responsibilities, not centres,
     and is handled inside the fit engine.

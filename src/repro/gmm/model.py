@@ -1,20 +1,25 @@
-"""Full-covariance Gaussian Mixture Model fitted with Expectation-Maximisation.
+"""One-dimensional Gaussian Mixture Model fitted with Expectation-Maximisation.
 
-This is a direct implementation of the model in paper §3.1:
+This is a direct implementation of the model in paper §3.1, fitted to the
+1-D stack of every column's values (§3.2):
 
-* mixture density  ``p(x) = sum_j pi_j N(x | mu_j, Sigma_j)``          (Eq. 1)
+* mixture density  ``p(x) = sum_j pi_j N(x | mu_j, sigma_j^2)``        (Eq. 1)
 * E-step responsibilities ``gamma(z_nj)``                              (Eq. 2)
-* M-step updates for ``mu_j``, ``Sigma_j``, ``pi_j``                   (Eqs. 3-5)
-* component densities via the multivariate normal pdf                  (Eq. 6)
+* M-step updates for ``mu_j``, ``sigma_j^2``, ``pi_j``                 (Eqs. 3-5)
+* component densities via the normal pdf                               (Eq. 6)
 
 Numerical care:
 
-* all per-component log densities go through a Cholesky factorisation and a
-  log-sum-exp reduction, so tiny likelihoods never underflow;
-* covariances get a ``reg_covar`` ridge so single-point components stay
-  positive definite;
-* ``n_init`` independent k-means++-seeded restarts keep the best likelihood
+* per-component log densities go through a log-sum-exp reduction, so tiny
+  likelihoods never underflow;
+* variances get a ``reg_covar`` floor so single-point components stay
+  strictly positive;
+* ``n_init`` independently seeded restarts keep the best likelihood
   (the paper uses 10 restarts, §4.1.4).
+
+The fitted attributes keep the multivariate shapes of scikit-learn's
+estimator — ``means_`` is ``(m, 1)``, ``covariances_`` is ``(m, 1, 1)`` —
+because stored model fingerprints hash array shapes.
 """
 
 from __future__ import annotations
@@ -23,10 +28,9 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from repro.gmm._grid import REDUCE_BLOCK
-from repro.gmm.kmeans import KMeans, seed_restarts_1d
+from repro.gmm.kmeans import seed_restarts_1d
 from repro.utils.rng import RandomState, check_random_state, spawn_seeds
 from repro.utils.validation import (
     check_array_2d,
@@ -35,8 +39,6 @@ from repro.utils.validation import (
 )
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-_FIT_ENGINES = ("auto", "batched", "serial")
 
 
 @dataclass(frozen=True)
@@ -131,14 +133,6 @@ def _block_accumulate(acc: np.ndarray, chunk: np.ndarray) -> None:
         acc += chunk[start : start + block].sum(axis=0)
 
 
-def _logsumexp(a: np.ndarray, axis: int = 1) -> np.ndarray:
-    """Stable ``log(sum(exp(a)))`` along ``axis``."""
-    amax = np.max(a, axis=axis, keepdims=True)
-    amax = np.where(np.isfinite(amax), amax, 0.0)
-    out = np.log(np.sum(np.exp(a - amax), axis=axis)) + np.squeeze(amax, axis=axis)
-    return out
-
-
 class _BatchedEM:
     """Restart-stacked streaming EM core for 1-D mixtures.
 
@@ -161,8 +155,8 @@ class _BatchedEM:
     converges are compressed out of the stacked arrays and stop
     contributing compute.
 
-    Numerics mirror the legacy per-restart path (log-sum-exp E-step with
-    the uniform-posterior fallback for fully-underflowed rows); the second
+    The E-step is the log-sum-exp of :meth:`GaussianMixture._e_step`, with
+    its uniform-posterior fallback for fully-underflowed rows; the second
     moment is accumulated around the *current* means ``c`` — reusing the
     squared deviations the E-step already computed — and the M-step recovers
     the exact centred variance via ``S2c/nk - (mu_new - c)^2``, which avoids
@@ -295,8 +289,8 @@ class _BatchedEM:
         ll_sum)`` where ``s2c`` is the second moment around the current
         means and ``ll_sum`` the per-restart sum of log marginal
         likelihoods, each summed over every sample of the stack. A single
-        ``exp`` pass per chunk produces the responsibilities (the legacy
-        path pays two), and all large temporaries are reused across chunks.
+        ``exp`` pass per chunk produces the responsibilities, and all large
+        temporaries are reused across chunks.
         """
         A, m = weights.shape
         tiny = np.finfo(float).tiny
@@ -351,9 +345,10 @@ class _BatchedEM:
             _block_accumulate(s2, tmp_b)
             # Reduce log-likelihoods along a contiguous per-restart axis: the
             # pairwise tree then depends only on the block length, never on
-            # how many restarts are stacked, keeping the serial and batched
-            # engines bit-identical (a (block, 1) column sum would pick a
-            # different tree than (block, A)).
+            # how many restarts are stacked. Converged restarts drop out
+            # mid-run, so A shrinks while the others iterate, and a restart's
+            # bound must not change when it does (a (block, 1) column sum
+            # would pick a different tree than (block, A)).
             ln_t = np.ascontiguousarray(log_norm.T)  # (A, b)
             block = FitPlan.REDUCE_BLOCK
             for start in range(0, b, block):
@@ -372,9 +367,9 @@ class _BatchedEM:
         weights = nk / self.n
         means = s1 / nk
         var = s2 / nk - (means - shift) ** 2 + self.reg_covar
-        # The legacy centred M-step guarantees var >= reg_covar; the shifted
-        # form can dip below it when a component's mean moves far in one
-        # step over near-constant far-from-origin values and the two ~equal
+        # A centred M-step guarantees var >= reg_covar; the shifted form can
+        # dip below it when a component's mean moves far in one step over
+        # near-constant far-from-origin values and the two ~equal
         # O(shift^2) terms cancel. Restore the same floor (tiny covers the
         # reg_covar=0 configuration).
         np.maximum(var, max(self.reg_covar, np.finfo(float).tiny), out=var)
@@ -423,7 +418,11 @@ class _BatchedEM:
 
 
 class GaussianMixture:
-    """Gaussian mixture estimated by EM, scikit-learn-compatible surface.
+    """One-dimensional Gaussian mixture estimated by EM.
+
+    The surface follows scikit-learn's estimator: input is a 1-D array or
+    an ``(n_samples, 1)`` matrix, and ``fit``, ``fit_from`` and every
+    inference method raise :exc:`ValueError` on any other feature count.
 
     Parameters
     ----------
@@ -436,32 +435,26 @@ class GaussianMixture:
         log-likelihood (paper default ``1e-3``, §3.1).
     n_init:
         Number of independent restarts; best final likelihood wins
-        (paper uses 10, §4.1.4).
+        (paper uses 10, §4.1.4). All restarts advance together as one
+        vectorized EM.
     reg_covar:
-        Ridge added to covariance diagonals for positive-definiteness.
+        Floor added to every component variance so components stay
+        strictly positive.
     init:
         ``"kmeans"`` (k-means++ seeded hard assignment, default),
         ``"random"`` (random responsibilities, the paper's description), or
-        ``"quantile"`` (1-D only: component means seeded at data quantiles
-        with per-restart jitter). Quantile seeding allocates components
+        ``"quantile"`` (component means seeded at data quantiles with
+        per-restart jitter). Quantile seeding allocates components
         proportionally to data *density*, which matters on heavy-tailed
         value stacks where SSE-driven k-means++ would spend nearly all
         components on the tail and leave the dense bands unresolved.
-    fit_engine:
-        ``"auto"`` (default) runs the restart-vectorized streaming engine
-        for 1-D data and the per-restart full-matrix loop otherwise;
-        ``"batched"`` forces the streaming engine (1-D only);
-        ``"serial"`` runs restarts one at a time through the same streaming
-        primitives (1-D) or the legacy loop (multivariate). The batched and
-        serial 1-D paths are bit-identical per restart.
     fit_batch_size:
-        Distinct values per E-step chunk during fitting (1-D EM runs over
-        the distinct values of the stack; seeding streams raw rows in
-        chunks of the same size). ``None`` resolves to
-        ``FitPlan.DEFAULT_BATCH``; any value is rounded down to a multiple
-        of ``FitPlan.REDUCE_BLOCK`` so every chunking yields bit-identical
-        parameters. Peak fit memory for 1-D data is
-        ``O(fit_batch_size * n_init * n_components)`` plus the O(n)
+        Distinct values per E-step chunk during fitting (EM runs over the
+        distinct values of the stack; seeding streams raw rows in chunks
+        of the same size). ``None`` resolves to ``FitPlan.DEFAULT_BATCH``;
+        any value is rounded down to a multiple of ``FitPlan.REDUCE_BLOCK``
+        so every chunking yields bit-identical parameters. Peak fit memory
+        is ``O(fit_batch_size * n_init * n_components)`` plus the O(n)
         distinct-value and count arrays.
     random_state:
         Seed or generator.
@@ -470,8 +463,9 @@ class GaussianMixture:
     ----------
     weights_ : numpy.ndarray of shape (n_components,)
         Mixing coefficients ``pi_j`` summing to one.
-    means_ : numpy.ndarray of shape (n_components, n_features)
-    covariances_ : numpy.ndarray of shape (n_components, n_features, n_features)
+    means_ : numpy.ndarray of shape (n_components, 1)
+    covariances_ : numpy.ndarray of shape (n_components, 1, 1)
+        Component variances.
     converged_ : bool
     n_iter_ : int
     lower_bound_ : float
@@ -487,7 +481,6 @@ class GaussianMixture:
         n_init: int = 1,
         reg_covar: float = 1e-6,
         init: str = "kmeans",
-        fit_engine: str = "auto",
         fit_batch_size: int | None = None,
         random_state: RandomState = None,
     ) -> None:
@@ -501,9 +494,6 @@ class GaussianMixture:
         if init not in ("kmeans", "random", "quantile"):
             raise ValueError(f"init must be 'kmeans', 'random' or 'quantile', got {init!r}")
         self.init = init
-        if fit_engine not in _FIT_ENGINES:
-            raise ValueError(f"fit_engine must be one of {_FIT_ENGINES}, got {fit_engine!r}")
-        self.fit_engine = fit_engine
         if fit_batch_size is not None and fit_batch_size < 1:
             raise ValueError(f"fit_batch_size must be None or >= 1, got {fit_batch_size}")
         self.fit_batch_size = fit_batch_size
@@ -515,75 +505,33 @@ class GaussianMixture:
         self.n_iter_: int = 0
         self.lower_bound_: float = -np.inf
 
+    @staticmethod
+    def _check_X(X: np.ndarray) -> np.ndarray:
+        """``X`` as an ``(n_samples, 1)`` float matrix; other widths raise."""
+        X = check_array_2d(X, "X")
+        if X.shape[1] != 1:
+            raise ValueError(
+                "GaussianMixture fits 1-D data (the paper's stacked column "
+                f"values); got n_features={X.shape[1]}"
+            )
+        return X
+
     # ------------------------------------------------------------------ fit
 
     def fit(self, X: np.ndarray) -> "GaussianMixture":
-        """Fit the mixture to ``X`` (shape ``(n_samples, n_features)``).
+        """Fit the mixture to ``X`` (a 1-D array or shape ``(n_samples, 1)``).
 
-        1-D input is accepted and treated as a single feature, matching the
-        paper's use on stacked column values. On 1-D data the restarts run
-        through the streaming engine (see ``fit_engine``):
-        all ``n_init`` restarts advance together as one vectorized EM with
+        All ``n_init`` restarts advance together as one vectorized EM with
         per-restart convergence masking, EM scores each distinct value once
         weighted by its multiplicity, and the E-step streams over chunks of
         ``fit_batch_size`` distinct values so its working set never scales
         with the corpus. Fit cost scales with distinct values × restarts ×
         components × iterations; seeding still reads every raw value.
         """
-        X = check_array_2d(X, "X")
-        if X.shape[0] < self.n_components:
-            raise ValueError(f"n_samples={X.shape[0]} must be >= n_components={self.n_components}")
-        engine = self._resolve_engine(X.shape[1])
+        x = self._check_X(X)[:, 0]
+        if x.size < self.n_components:
+            raise ValueError(f"n_samples={x.size} must be >= n_components={self.n_components}")
         seeds = spawn_seeds(self.random_state, self.n_init)
-        if X.shape[1] == 1:
-            chosen = self._fit_1d(X[:, 0], seeds, stacked=(engine == "batched"))
-        else:
-            best: tuple[float, dict] | None = None
-            for seed in seeds:
-                params = self._single_fit(X, np.random.default_rng(seed))
-                if best is None or params["lower_bound"] > best[0]:
-                    best = (params["lower_bound"], params)
-            assert best is not None
-            chosen = best[1]
-        self.weights_ = chosen["weights"]
-        self.means_ = chosen["means"]
-        self.covariances_ = chosen["covariances"]
-        self.converged_ = chosen["converged"]
-        self.n_iter_ = chosen["n_iter"]
-        self.lower_bound_ = chosen["lower_bound"]
-        return self
-
-    def _resolve_engine(self, n_features: int) -> str:
-        if self.fit_engine == "batched" and n_features != 1:
-            raise ValueError(
-                "fit_engine='batched' requires 1-D data (the paper's stacked "
-                f"value setting); got n_features={n_features}. Use 'auto' or "
-                "'serial' for multivariate fits."
-            )
-        if self.fit_engine == "auto":
-            return "batched" if n_features == 1 else "serial"
-        return self.fit_engine
-
-    def _engine(self, x: np.ndarray) -> _BatchedEM:
-        """The streaming 1-D EM over ``x``'s distinct values."""
-        return _BatchedEM(
-            x,
-            self.n_components,
-            tol=self.tol,
-            max_iter=self.max_iter,
-            reg_covar=self.reg_covar,
-            batch_size=self.fit_batch_size,
-        )
-
-    def _fit_1d(self, x: np.ndarray, seeds: list[int], *, stacked: bool) -> dict:
-        """Run all restarts through the streaming 1-D engine.
-
-        ``stacked=True`` advances every restart together in one vectorized
-        EM (the batched engine); ``stacked=False`` runs the same streaming
-        primitives one restart at a time (the serial engine). Seeding and
-        per-restart arithmetic are shared, so both orders produce
-        bit-identical parameters and pick the same winning restart.
-        """
         em = self._engine(x)
         R = len(seeds)
         m = self.n_components
@@ -598,29 +546,31 @@ class GaussianMixture:
             seed_batch = FitPlan(x.size, self.fit_batch_size).effective_batch_size
             centers = seed_restarts_1d(x, m, seeds, self.init, batch_size=seed_batch)
             w0, mu0, var0 = em.initial_from_centers(centers)
-        if stacked:
-            out_w, out_mu, out_var, bounds, n_iters, converged = em.run(w0, mu0, var0)
-        else:
-            out_w = np.empty((R, m))
-            out_mu = np.empty((R, m))
-            out_var = np.empty((R, m))
-            bounds = np.empty(R)
-            n_iters = np.empty(R, dtype=int)
-            converged = np.empty(R, dtype=bool)
-            for r in range(R):
-                res = em.run(w0[r : r + 1], mu0[r : r + 1], var0[r : r + 1])
-                out_w[r], out_mu[r], out_var[r] = res[0][0], res[1][0], res[2][0]
-                bounds[r], n_iters[r], converged[r] = res[3][0], res[4][0], res[5][0]
-        # First-max tie-break matches the serial loop's strict-improvement rule.
-        win = int(np.argmax(bounds))
-        return {
-            "weights": out_w[win],
-            "means": out_mu[win].reshape(m, 1),
-            "covariances": out_var[win].reshape(m, 1, 1),
-            "lower_bound": float(bounds[win]),
-            "converged": bool(converged[win]),
-            "n_iter": int(n_iters[win]),
-        }
+        result = em.run(w0, mu0, var0)
+        # The first of equally good restarts wins.
+        return self._adopt(result, int(np.argmax(result[3])))
+
+    def _engine(self, x: np.ndarray) -> _BatchedEM:
+        """The streaming EM over ``x``'s distinct values."""
+        return _BatchedEM(
+            x,
+            self.n_components,
+            tol=self.tol,
+            max_iter=self.max_iter,
+            reg_covar=self.reg_covar,
+            batch_size=self.fit_batch_size,
+        )
+
+    def _adopt(self, result: tuple[np.ndarray, ...], r: int) -> "GaussianMixture":
+        """Take restart ``r`` of a :meth:`_BatchedEM.run` result as the model."""
+        weights, means, variances, bounds, n_iters, converged = result
+        self.weights_ = weights[r]
+        self.means_ = means[r].reshape(-1, 1)
+        self.covariances_ = variances[r].reshape(-1, 1, 1)
+        self.lower_bound_ = float(bounds[r])
+        self.n_iter_ = int(n_iters[r])
+        self.converged_ = bool(converged[r])
+        return self
 
     def fit_from(
         self,
@@ -632,133 +582,30 @@ class GaussianMixture:
         """Warm-start: run EM from explicit parameters (single run, no seeding).
 
         The warm-started BIC sweep uses this to refine split parameters from
-        a smaller converged mixture. 1-D data streams through the batched
-        engine; multivariate data runs the full-matrix loop. Parameter
-        shapes must match ``n_components``.
+        a smaller converged mixture. Parameters use the fitted-attribute
+        shapes (``means`` may also be ``(n_components,)``) and must match
+        ``n_components``.
         """
-        X = check_array_2d(X, "X")
-        if X.shape[0] < self.n_components:
-            raise ValueError(f"n_samples={X.shape[0]} must be >= n_components={self.n_components}")
+        x = self._check_X(X)[:, 0]
+        m = self.n_components
+        if x.size < m:
+            raise ValueError(f"n_samples={x.size} must be >= n_components={m}")
         weights = np.asarray(weights, dtype=np.float64).ravel()
         means = np.asarray(means, dtype=np.float64)
         covariances = np.asarray(covariances, dtype=np.float64)
-        d = X.shape[1]
         if means.ndim == 1:
             means = means.reshape(-1, 1)
-        if weights.shape[0] != self.n_components or means.shape != (self.n_components, d):
+        if weights.shape[0] != m or means.shape != (m, 1):
             raise ValueError(
-                f"warm-start parameters must have n_components={self.n_components} "
-                f"rows and {d} feature columns; got weights {weights.shape}, "
-                f"means {means.shape}"
+                f"warm-start parameters must have n_components={m} rows and "
+                f"1 feature column; got weights {weights.shape}, means {means.shape}"
             )
-        if covariances.shape != (self.n_components, d, d):
-            raise ValueError(
-                f"covariances must have shape ({self.n_components}, {d}, {d}), "
-                f"got {covariances.shape}"
-            )
-        if d == 1:
-            out_w, out_mu, out_var, bounds, n_iters, converged = self._engine(X[:, 0]).run(
-                weights[None].copy(), means[:, 0][None].copy(), covariances[:, 0, 0][None].copy()
-            )
-            self.weights_ = out_w[0]
-            self.means_ = out_mu[0].reshape(-1, 1)
-            self.covariances_ = out_var[0].reshape(-1, 1, 1)
-            self.lower_bound_ = float(bounds[0])
-            self.n_iter_ = int(n_iters[0])
-            self.converged_ = bool(converged[0])
-            return self
-        params = self._warm_fit_legacy(X, weights, means, covariances)
-        self.weights_ = params["weights"]
-        self.means_ = params["means"]
-        self.covariances_ = params["covariances"]
-        self.converged_ = params["converged"]
-        self.n_iter_ = params["n_iter"]
-        self.lower_bound_ = params["lower_bound"]
-        return self
-
-    def _warm_fit_legacy(
-        self,
-        X: np.ndarray,
-        weights: np.ndarray,
-        means: np.ndarray,
-        covariances: np.ndarray,
-    ) -> dict:
-        """Full-matrix EM from given parameters (multivariate warm start)."""
-        lower_bound = -np.inf
-        converged = False
-        n_iter = 0
-        for n_iter in range(1, self.max_iter + 1):
-            log_resp, log_norm = self._e_step(X, weights, means, covariances)
-            weights, means, covariances = self._m_step(X, np.exp(log_resp))
-            new_bound = float(np.mean(log_norm))
-            if abs(new_bound - lower_bound) < self.tol:
-                lower_bound = new_bound
-                converged = True
-                break
-            lower_bound = new_bound
-        return {
-            "weights": weights,
-            "means": means,
-            "covariances": covariances,
-            "lower_bound": lower_bound,
-            "converged": converged,
-            "n_iter": n_iter,
-        }
-
-    def _single_fit(self, X: np.ndarray, rng: np.random.Generator) -> dict:
-        resp = self._initial_resp(X, rng)
-        weights, means, covariances = self._m_step(X, resp)
-        lower_bound = -np.inf
-        converged = False
-        n_iter = 0
-        for n_iter in range(1, self.max_iter + 1):
-            log_resp, log_norm = self._e_step(X, weights, means, covariances)
-            weights, means, covariances = self._m_step(X, np.exp(log_resp))
-            new_bound = float(np.mean(log_norm))
-            if abs(new_bound - lower_bound) < self.tol:
-                lower_bound = new_bound
-                converged = True
-                break
-            lower_bound = new_bound
-        return {
-            "weights": weights,
-            "means": means,
-            "covariances": covariances,
-            "lower_bound": lower_bound,
-            "converged": converged,
-            "n_iter": n_iter,
-        }
-
-    def _initial_resp(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n = X.shape[0]
-        resp = np.zeros((n, self.n_components))
-        if self.init == "quantile":
-            if X.shape[1] != 1:
-                raise ValueError("init='quantile' requires 1-D data")
-            qs = np.linspace(0, 1, self.n_components + 2)[1:-1]
-            jitter = rng.uniform(-0.4, 0.4, size=self.n_components) / (self.n_components + 1)
-            centers = np.quantile(X[:, 0], np.clip(qs + jitter, 0.0, 1.0))
-            # A few Lloyd iterations refine the density-proportional seeds
-            # locally without letting SSE drag everything into the tail.
-            x = X[:, 0]
-            labels = np.argmin(np.abs(x[:, None] - centers[None, :]), axis=1)
-            for _ in range(5):
-                for j in range(self.n_components):
-                    members = labels == j
-                    if np.any(members):
-                        centers[j] = x[members].mean()
-                labels = np.argmin(np.abs(x[:, None] - centers[None, :]), axis=1)
-            resp[np.arange(n), labels] = 1.0
-        elif self.init == "kmeans":
-            # A handful of Lloyd iterations is enough for seeding EM — the
-            # mixture refines the partition anyway.
-            km = KMeans(self.n_components, n_init=1, max_iter=15, random_state=rng)
-            labels = km.fit_predict(X)
-            resp[np.arange(n), labels] = 1.0
-        else:
-            resp = rng.random((n, self.n_components))
-            resp /= resp.sum(axis=1, keepdims=True)
-        return resp
+        if covariances.shape != (m, 1, 1):
+            raise ValueError(f"covariances must have shape ({m}, 1, 1), got {covariances.shape}")
+        result = self._engine(x).run(
+            weights[None].copy(), means[:, 0][None].copy(), covariances[:, 0, 0][None].copy()
+        )
+        return self._adopt(result, 0)
 
     # ------------------------------------------------------------ EM pieces
 
@@ -772,9 +619,9 @@ class GaussianMixture:
         """Return (log responsibilities, per-sample log marginal likelihood)."""
         weighted = self._log_weighted_prob(X, weights, means, covariances)
         # In-place log-sum-exp: `weighted` becomes the log responsibilities.
-        # Guard amax like the module-level _logsumexp: a row whose every
-        # component log-density underflowed to -inf (an extreme outlier at
-        # transform time) would otherwise propagate inf - inf = NaN.
+        # Guard amax: a row whose every component log-density underflowed
+        # to -inf (an extreme outlier at transform time) would otherwise
+        # propagate inf - inf = NaN.
         amax = np.max(weighted, axis=1, keepdims=True)
         amax = np.where(np.isfinite(amax), amax, 0.0)
         np.subtract(weighted, amax, out=weighted)
@@ -793,57 +640,18 @@ class GaussianMixture:
         np.subtract(weighted, log_sum, out=weighted)
         return weighted, log_norm
 
-    def _m_step(self, X: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Eqs. 3-5: re-estimate weights, means and covariances."""
-        n, d = X.shape
-        nk = resp.sum(axis=0) + 10 * np.finfo(float).tiny
-        weights = nk / n
-        means = (resp.T @ X) / nk[:, None]
-        if d == 1:
-            # Univariate fast path (the paper's setting: stacked 1-D values).
-            diff = X[:, 0][:, None] - means[:, 0][None, :]
-            var = np.einsum("nj,nj->j", resp, diff**2) / nk + self.reg_covar
-            return weights, means, var.reshape(-1, 1, 1)
-        covariances = np.empty((self.n_components, d, d))
-        for j in range(self.n_components):
-            diff = X - means[j]
-            cov = (resp[:, j][:, None] * diff).T @ diff / nk[j]
-            cov[np.diag_indices(d)] += self.reg_covar
-            covariances[j] = cov
-        return weights, means, covariances
-
     @staticmethod
     def _log_gaussian_prob(X: np.ndarray, means: np.ndarray, covariances: np.ndarray) -> np.ndarray:
         """Eq. 6 in log space for every (sample, component) pair.
 
-        Uses the Cholesky factor of each covariance for the quadratic form
-        and the log-determinant.
+        Vectorised over components. An extreme outlier overflows diff**2
+        to inf, which is the correct -inf log-density; the E-step guards
+        that case, so the overflow warning is noise.
         """
-        n, d = X.shape
-        m = means.shape[0]
-        if d == 1:
-            # Univariate fast path: fully vectorised over components. An
-            # extreme outlier overflows diff**2 to inf, which is the correct
-            # -inf log-density; the E-step guards that case, so the overflow
-            # warning is noise.
-            var = np.maximum(covariances[:, 0, 0], np.finfo(float).tiny)
-            diff = X[:, 0][:, None] - means[:, 0][None, :]
-            with np.errstate(over="ignore"):
-                return -0.5 * (_LOG_2PI + np.log(var)[None, :] + diff**2 / var[None, :])
-        out = np.empty((n, m))
-        for j in range(m):
-            try:
-                chol = np.linalg.cholesky(covariances[j])
-            except np.linalg.LinAlgError:
-                # Repair an indefinite covariance with a stronger ridge.
-                cov = covariances[j] + np.eye(d) * 1e-6
-                chol = np.linalg.cholesky(cov)
-            diff = X - means[j]
-            z = solve_triangular(chol, diff.T, lower=True).T
-            maha = np.sum(z**2, axis=1)
-            log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-            out[:, j] = -0.5 * (d * _LOG_2PI + log_det + maha)
-        return out
+        var = np.maximum(covariances[:, 0, 0], np.finfo(float).tiny)
+        diff = X[:, 0][:, None] - means[:, 0][None, :]
+        with np.errstate(over="ignore"):
+            return -0.5 * (_LOG_2PI + np.log(var)[None, :] + diff**2 / var[None, :])
 
     def _log_weighted_prob(
         self,
@@ -866,7 +674,7 @@ class GaussianMixture:
         log-sum-exp is row-wise, so chunking does not change the result.
         """
         check_fitted(self, "means_")
-        X = check_array_2d(X, "X")
+        X = self._check_X(X)
         out = np.empty((X.shape[0], self.n_components))
         for rows in BatchPlan(X.shape[0], batch_size):
             log_resp, _ = self._e_step(X[rows], self.weights_, self.means_, self.covariances_)
@@ -880,7 +688,7 @@ class GaussianMixture:
         :meth:`predict_proba`).
         """
         check_fitted(self, "means_")
-        X = check_array_2d(X, "X")
+        X = self._check_X(X)
         out = np.empty(X.shape[0], dtype=np.intp)
         for rows in BatchPlan(X.shape[0], batch_size):
             weighted = self._log_weighted_prob(
@@ -896,7 +704,7 @@ class GaussianMixture:
         :meth:`predict_proba`).
         """
         check_fitted(self, "means_")
-        X = check_array_2d(X, "X")
+        X = self._check_X(X)
         out = np.empty(X.shape[0])
         for rows in BatchPlan(X.shape[0], batch_size):
             _, log_norm = self._e_step(X[rows], self.weights_, self.means_, self.covariances_)
@@ -908,7 +716,7 @@ class GaussianMixture:
         return float(np.mean(self.score_samples(X, batch_size=batch_size)))
 
     def component_pdf(self, X: np.ndarray, *, batch_size: int | None = None) -> np.ndarray:
-        """Unweighted per-component densities ``p(x | mu_j, Sigma_j)`` (Eq. 6).
+        """Unweighted per-component densities ``p(x | mu_j, sigma_j^2)`` (Eq. 6).
 
         The paper's signature mechanism ablation compares pooling these raw
         densities against pooling posteriors; both are exposed.
@@ -916,7 +724,7 @@ class GaussianMixture:
         :meth:`predict_proba`).
         """
         check_fitted(self, "means_")
-        X = check_array_2d(X, "X")
+        X = self._check_X(X)
         out = np.empty((X.shape[0], self.n_components))
         for rows in BatchPlan(X.shape[0], batch_size):
             np.exp(
@@ -942,21 +750,21 @@ class GaussianMixture:
 
     # ----------------------------------------------------- model selection
 
-    def _n_parameters(self, n_features: int) -> int:
-        cov_params = self.n_components * n_features * (n_features + 1) // 2
-        mean_params = self.n_components * n_features
-        return int(cov_params + mean_params + self.n_components - 1)
+    def _n_parameters(self) -> int:
+        """Free parameters: a mean and a variance per component, plus the
+        ``m - 1`` independent mixing weights."""
+        return 3 * self.n_components - 1
 
     def bic(self, X: np.ndarray) -> float:
         """Bayesian Information Criterion on ``X`` (lower is better)."""
         check_fitted(self, "means_")
-        X = check_array_2d(X, "X")
+        X = self._check_X(X)
         log_lik = float(np.sum(self.score_samples(X)))
-        return -2.0 * log_lik + self._n_parameters(X.shape[1]) * float(np.log(X.shape[0]))
+        return -2.0 * log_lik + self._n_parameters() * float(np.log(X.shape[0]))
 
     def aic(self, X: np.ndarray) -> float:
         """Akaike Information Criterion on ``X`` (lower is better)."""
         check_fitted(self, "means_")
-        X = check_array_2d(X, "X")
+        X = self._check_X(X)
         log_lik = float(np.sum(self.score_samples(X)))
-        return -2.0 * log_lik + 2.0 * self._n_parameters(X.shape[1])
+        return -2.0 * log_lik + 2.0 * self._n_parameters()

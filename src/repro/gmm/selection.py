@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,9 +48,6 @@ from repro.utils.validation import check_array_2d
 @dataclass(frozen=True)
 class SelectionReport:
     """Outcome of a BIC sweep over candidate component counts.
-
-    Iterating yields ``(best, scores)`` so legacy call sites that tuple-
-    unpack the old return value keep working unchanged.
 
     Attributes
     ----------
@@ -75,10 +72,6 @@ class SelectionReport:
     converged: dict[int, bool] = field(default_factory=dict)
     subsample_size: int = 0
     warm_started: bool = False
-
-    def __iter__(self) -> Iterator[object]:
-        yield self.best
-        yield self.scores
 
 
 def split_components(
@@ -129,7 +122,6 @@ def select_n_components_bic(
     warm_start: bool = False,
     n_workers: int = 1,
     subsample_size: int | None = None,
-    fit_engine: str = "auto",
     fit_batch_size: int | None = None,
     random_state: RandomState = None,
 ) -> SelectionReport:
@@ -138,7 +130,7 @@ def select_n_components_bic(
     Parameters
     ----------
     X:
-        Samples, shape ``(n, d)`` (1-D accepted).
+        Samples, a 1-D array or shape ``(n, 1)``.
     candidates:
         Component counts to try; counts exceeding the (sub)sample size are
         skipped.
@@ -158,15 +150,14 @@ def select_n_components_bic(
     subsample_size:
         Score against a uniform subsample of at most this many rows, shared
         by every candidate. ``None`` uses all rows.
-    fit_engine, fit_batch_size:
-        Streaming-engine knobs threaded through to every fit (see
+    fit_batch_size:
+        Streaming-engine chunk size threaded through to every fit (see
         :class:`~repro.gmm.model.GaussianMixture`).
 
     Returns
     -------
     SelectionReport
-        Scores and diagnostics; iterable as ``(best, scores)`` for
-        backward compatibility.
+        The winning count, scores and diagnostics.
     """
     X = check_array_2d(X, "X")
     if subsample_size is not None and X.shape[0] > subsample_size:
@@ -191,7 +182,6 @@ def select_n_components_bic(
             n_init=n_init,
             max_iter=max_iter,
             init=init,
-            fit_engine=fit_engine,
             fit_batch_size=fit_batch_size,
             random_state=state,
         )
@@ -220,7 +210,6 @@ def select_n_components_bic(
                 n_init=1,
                 max_iter=max_iter,
                 init=init,
-                fit_engine=fit_engine,
                 fit_batch_size=fit_batch_size,
                 random_state=state,
             )

@@ -41,10 +41,9 @@ from repro.core.persistence import (
 from repro.index.core import GemIndex
 
 # Version 2 added: storage dtype, PQ state (codes/codebooks/knobs) and the
-# compaction threshold. Version-1 archives (always float64, exact/ivf) are
-# still read, with those fields at their defaults.
+# compaction threshold. Version 1 predates archive checksums, so no
+# version-1 archive passes read_archive; only version 2 is read.
 _SCHEMA_VERSION = 2
-_READABLE_VERSIONS = (1, 2)
 
 
 def save_index(index: GemIndex, path: str | Path) -> None:
@@ -168,6 +167,19 @@ def _check_archive(
         )
 
 
+def _read(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """The verified archive arrays and their embedded config."""
+    payload = read_archive(path)
+    config = json_from_array(payload["config_json"])
+    version = config.get("schema_version")
+    if version != _SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported index schema version {version!r} "
+            f"(this library reads version {_SCHEMA_VERSION})"
+        )
+    return payload, config
+
+
 def load_index(path: str | Path) -> GemIndex:
     """Load an index written by :func:`save_index`.
 
@@ -179,25 +191,18 @@ def load_index(path: str | Path) -> GemIndex:
     the saved one. The archive's content checksum is verified first
     (:exc:`~repro.core.persistence.CorruptArchiveError` on mismatch).
     """
-    payload = read_archive(path)
-    config = json_from_array(payload["config_json"])
-    version = config.get("schema_version")
-    if version not in _READABLE_VERSIONS:
-        raise ValueError(
-            f"unsupported index schema version {version!r} "
-            f"(this library reads versions {_READABLE_VERSIONS})"
-        )
+    payload, config = _read(path)
     index = GemIndex(
         int(config["dim"]),
         backend=config["backend"],
         block_size=int(config["block_size"]),
         n_lists=config["n_lists"],
         n_probe=int(config["n_probe"]),
-        dtype=config.get("dtype", "float64"),
-        pq_subvectors=int(config.get("pq_subvectors", 8)),
-        pq_codes=int(config.get("pq_codes", 256)),
-        pq_rerank=int(config.get("pq_rerank", 0)),
-        compact_threshold=float(config.get("compact_threshold", 0.25)),
+        dtype=config["dtype"],
+        pq_subvectors=int(config["pq_subvectors"]),
+        pq_codes=int(config["pq_codes"]),
+        pq_rerank=int(config["pq_rerank"]),
+        compact_threshold=float(config["compact_threshold"]),
         random_state=config["random_state"] or 0,
         model_fingerprint=config["model_fingerprint"],
     )
@@ -244,15 +249,7 @@ def read_index_manifest(path: str | Path) -> dict:
     archive checksum is still verified (corruption is never reported as
     staleness).
     """
-    payload = read_archive(path)
-    config = json_from_array(payload["config_json"])
-    version = config.get("schema_version")
-    if version not in _READABLE_VERSIONS:
-        raise ValueError(
-            f"unsupported index schema version {version!r} "
-            f"(this library reads versions {_READABLE_VERSIONS})"
-        )
-    return config
+    return _read(path)[1]
 
 
 __all__ = ["save_index", "load_index", "read_index_manifest"]

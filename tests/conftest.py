@@ -2,17 +2,9 @@
 
 Tests use deliberately small corpora (dozens of columns, few GMM components)
 so the whole suite stays fast; the benchmarks exercise realistic sizes.
-
-Setting ``GEMSAN=1`` runs the whole session under the gemsan lock-order
-sanitizer (see :mod:`repro.analysis.sanitizer`): ``threading.Lock``/
-``RLock`` are patched before collection, the dynamic acquisition graph is
-dumped to ``GEMSAN_OUT`` (default ``gemsan-graph.json``) at exit, and CI
-cross-checks it against GEM-C03's static graph.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -20,25 +12,6 @@ import pytest
 from repro.data.corpora import make_corpus
 from repro.data.synthesis import default_type_library
 from repro.data.table import ColumnCorpus, NumericColumn
-
-
-def pytest_configure(config):
-    if os.environ.get("GEMSAN") != "1":
-        return
-    from repro.analysis import sanitizer
-
-    sanitizer.install(sanitizer.LockOrderRecorder())
-
-
-def pytest_unconfigure(config):
-    if os.environ.get("GEMSAN") != "1":
-        return
-    from repro.analysis import sanitizer
-
-    recorder = sanitizer.active_recorder()
-    sanitizer.uninstall()
-    if recorder is not None:
-        recorder.dump(os.environ.get("GEMSAN_OUT", "gemsan-graph.json"))
 
 
 @pytest.fixture

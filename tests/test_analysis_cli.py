@@ -1,49 +1,14 @@
-"""CLI satellite features: --jobs, --since, --prune-stale, --format sarif.
+"""CLI baseline maintenance: ``--prune-stale``.
 
-Each test drives ``python -m repro.analysis``'s ``main()`` in a temp
-project, exactly like the existing CLI tests in
-``test_analysis_engine.py``.
+The test drives ``python -m repro.analysis``'s ``main()`` in a temp
+project, exactly like the CLI tests in ``test_analysis_engine.py``.
 """
 
 import json
-import shutil
-import subprocess
-
-import pytest
 
 from repro.analysis.__main__ import main
 
 FLOAT_EQ = "def f(x):\n    return x == 0.5\n"
-
-INVERSION_A = (
-    "import threading\n"
-    "from repro.half import beta\n\n\n"
-    "class Alpha:\n"
-    "    def __init__(self):\n"
-    "        self._a = threading.Lock()\n"
-    "        self.peer = beta.Beta()\n\n"
-    "    def grab(self):\n"
-    "        with self._a:\n"
-    "            pass\n\n"
-    "    def cross(self):\n"
-    "        with self._a:\n"
-    "            self.peer.poke()\n"
-)
-
-INVERSION_B = (
-    "import threading\n"
-    "from repro.half import alpha\n\n\n"
-    "class Beta:\n"
-    "    def __init__(self):\n"
-    "        self._b = threading.Lock()\n"
-    "        self.head = alpha.Alpha()\n\n"
-    "    def poke(self):\n"
-    "        with self._b:\n"
-    "            pass\n\n"
-    "    def reverse(self):\n"
-    "        with self._b:\n"
-    "            self.head.grab()\n"
-)
 
 
 def _project(tmp_path, files):
@@ -51,126 +16,8 @@ def _project(tmp_path, files):
     pkg.mkdir(parents=True)
     (pkg / "__init__.py").write_text("", encoding="utf-8")
     for name, source in files.items():
-        target = pkg / name
-        target.parent.mkdir(parents=True, exist_ok=True)
-        if target.parent != pkg and not (target.parent / "__init__.py").exists():
-            (target.parent / "__init__.py").write_text("", encoding="utf-8")
-        target.write_text(source, encoding="utf-8")
+        (pkg / name).write_text(source, encoding="utf-8")
     return tmp_path
-
-
-class TestJobs:
-    def test_parallel_output_byte_identical_to_serial(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        files = {
-            f"mod_{i}.py": FLOAT_EQ.replace("0.5", f"0.{i}5") for i in range(6)
-        }
-        _project(tmp_path, files)
-        monkeypatch.chdir(tmp_path)
-        assert main(["src", "--no-baseline"]) == 1
-        serial = capsys.readouterr().out
-        assert main(["src", "--no-baseline", "--jobs", "4"]) == 1
-        parallel = capsys.readouterr().out
-        assert parallel == serial
-        assert serial.count("GEM-F01") == 6
-
-
-@pytest.mark.skipif(shutil.which("git") is None, reason="git not available")
-class TestSince:
-    def _git(self, cwd, *argv):
-        subprocess.run(
-            ["git", *argv],
-            cwd=cwd,
-            check=True,
-            capture_output=True,
-            env={
-                "GIT_AUTHOR_NAME": "t",
-                "GIT_AUTHOR_EMAIL": "t@example.invalid",
-                "GIT_COMMITTER_NAME": "t",
-                "GIT_COMMITTER_EMAIL": "t@example.invalid",
-                "HOME": str(cwd),
-                "PATH": __import__("os").environ["PATH"],
-            },
-        )
-
-    def _committed_project(self, tmp_path):
-        _project(
-            tmp_path,
-            {
-                "old.py": FLOAT_EQ,
-                "half/alpha.py": INVERSION_A,
-                "half/beta.py": INVERSION_B,
-            },
-        )
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "add", "-A")
-        self._git(tmp_path, "commit", "-qm", "seed")
-        return tmp_path
-
-    def test_per_file_stage_limited_to_changed_files(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        self._committed_project(tmp_path)
-        (tmp_path / "src" / "repro" / "fresh.py").write_text(
-            FLOAT_EQ.replace("0.5", "0.25"), encoding="utf-8"
-        )
-        monkeypatch.chdir(tmp_path)
-        assert main(["src", "--no-baseline", "--since", "HEAD"]) == 1
-        out = capsys.readouterr().out
-        # Only the new file's per-file finding; old.py's is out of scope.
-        assert "fresh.py" in out
-        assert "old.py" not in out
-
-    def test_graph_rules_still_whole_project(self, tmp_path, monkeypatch, capsys):
-        self._committed_project(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        # Nothing changed since HEAD, yet the cross-module inversion in
-        # two *unchanged* files must still be reported.
-        assert main(["src", "--no-baseline", "--since", "HEAD"]) == 1
-        out = capsys.readouterr().out
-        assert "GEM-C03" in out
-        assert "GEM-F01" not in out
-
-    def test_since_does_not_mark_out_of_scope_entries_stale(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        self._committed_project(tmp_path)
-        baseline = {
-            "version": 1,
-            "entries": [
-                {
-                    "rule": "GEM-F01",
-                    "path": "src/repro/old.py",
-                    "code": "return x == 0.5",
-                    "justification": "documented exact-value sentinel comparison",
-                },
-                {
-                    "rule": "GEM-C03",
-                    "path": "src/repro/half/alpha.py",
-                    "code": "self._a = threading.Lock()",
-                    "justification": "known inversion pending the lock-order refactor",
-                },
-            ],
-        }
-        (tmp_path / "gemlint-baseline.json").write_text(
-            json.dumps(baseline), encoding="utf-8"
-        )
-        monkeypatch.chdir(tmp_path)
-        # Full run: both entries match → clean.
-        assert main(["src"]) == 0
-        capsys.readouterr()
-        # --since with no changes: old.py is out of the per-file subset, so
-        # its entry must NOT be reported stale; the graph entry still
-        # matches because graph rules run whole-project.
-        assert main(["src", "--since", "HEAD"]) == 0
-        assert "stale" not in capsys.readouterr().out
-
-    def test_bad_ref_exits_two(self, tmp_path, monkeypatch, capsys):
-        self._committed_project(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        assert main(["src", "--since", "no-such-ref"]) == 2
-        capsys.readouterr()
 
 
 class TestPruneStale:
@@ -212,144 +59,3 @@ class TestPruneStale:
         assert entry["justification"] == "documented sentinel comparison, reviewed"
         # The pruned baseline still loads and still gates cleanly.
         assert main(["src"]) == 0
-
-    def test_prune_with_since_is_rejected(self, tmp_path, monkeypatch, capsys):
-        _project(tmp_path, {"mod.py": FLOAT_EQ})
-        monkeypatch.chdir(tmp_path)
-        assert main(["src", "--prune-stale", "--since", "HEAD"]) == 2
-        capsys.readouterr()
-
-
-# Trimmed to the SARIF 2.1.0 schema's required properties for the objects
-# gemlint emits; validated with jsonschema when available, by hand otherwise.
-SARIF_MIN_SCHEMA = {
-    "type": "object",
-    "required": ["version", "runs"],
-    "properties": {
-        "version": {"enum": ["2.1.0"]},
-        "$schema": {"type": "string"},
-        "runs": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["tool"],
-                "properties": {
-                    "tool": {
-                        "type": "object",
-                        "required": ["driver"],
-                        "properties": {
-                            "driver": {
-                                "type": "object",
-                                "required": ["name"],
-                                "properties": {
-                                    "name": {"type": "string"},
-                                    "rules": {
-                                        "type": "array",
-                                        "items": {
-                                            "type": "object",
-                                            "required": ["id"],
-                                        },
-                                    },
-                                },
-                            }
-                        },
-                    },
-                    "results": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["message"],
-                            "properties": {
-                                "message": {
-                                    "type": "object",
-                                    "required": ["text"],
-                                },
-                                "ruleId": {"type": "string"},
-                                "level": {
-                                    "enum": ["none", "note", "warning", "error"]
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
-
-
-def _validate_minimal(instance, schema):
-    """Just enough of JSON Schema for SARIF_MIN_SCHEMA (fallback when the
-    jsonschema package is absent)."""
-    if "enum" in schema:
-        assert instance in schema["enum"], (instance, schema["enum"])
-        return
-    kind = schema.get("type")
-    if kind == "object":
-        assert isinstance(instance, dict)
-        for req in schema.get("required", []):
-            assert req in instance, f"missing required property {req!r}"
-        for key, sub in schema.get("properties", {}).items():
-            if key in instance:
-                _validate_minimal(instance[key], sub)
-    elif kind == "array":
-        assert isinstance(instance, list)
-        assert len(instance) >= schema.get("minItems", 0)
-        for item in instance:
-            _validate_minimal(item, schema.get("items", {}))
-    elif kind == "string":
-        assert isinstance(instance, str)
-
-
-class TestSarif:
-    def test_sarif_output_validates_and_round_trips(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        _project(
-            tmp_path,
-            {"mod.py": FLOAT_EQ, "half/alpha.py": INVERSION_A, "half/beta.py": INVERSION_B},
-        )
-        monkeypatch.chdir(tmp_path)
-        assert main(["src", "--no-baseline", "--format", "sarif"]) == 1
-        log = json.loads(capsys.readouterr().out)
-        try:
-            import jsonschema
-        except ImportError:
-            _validate_minimal(log, SARIF_MIN_SCHEMA)
-        else:
-            jsonschema.validate(instance=log, schema=SARIF_MIN_SCHEMA)
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["name"] == "gemlint"
-        rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"GEM-F01", "GEM-C03"} <= rule_ids
-        hit_rules = {result["ruleId"] for result in run["results"]}
-        assert {"GEM-F01", "GEM-C03"} <= hit_rules
-        # The graph finding carries its witness trace as a code flow.
-        c03 = next(r for r in run["results"] if r["ruleId"] == "GEM-C03")
-        flows = c03["codeFlows"][0]["threadFlows"][0]["locations"]
-        assert len(flows) >= 2
-
-    def test_stale_entries_become_results(self, tmp_path, monkeypatch, capsys):
-        _project(tmp_path, {"mod.py": "def f(x):\n    return x\n"})
-        (tmp_path / "gemlint-baseline.json").write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {
-                            "rule": "GEM-F01",
-                            "path": "src/repro/mod.py",
-                            "code": "return x == 0.5",
-                            "justification": "stale on purpose for this test",
-                        }
-                    ],
-                }
-            ),
-            encoding="utf-8",
-        )
-        monkeypatch.chdir(tmp_path)
-        assert main(["src", "--format", "sarif"]) == 1
-        log = json.loads(capsys.readouterr().out)
-        results = log["runs"][0]["results"]
-        assert any(r["ruleId"] == "GEM-B00" for r in results)

@@ -1,14 +1,11 @@
 """Project-graph stage tests: graph construction, cross-module rules,
-witness traces, graph-rule pragma/baseline semantics, and gemsan.
+witness traces and graph-rule pragma/baseline semantics.
 
 The per-rule true-positive/near-miss behaviour lives in the fixture
 meta-test (``test_analysis_rules.py``); here we exercise what only the
 *project* view can show — hazards split across modules — plus the
 machinery around it.
 """
-
-import json
-import threading
 
 import pytest
 
@@ -17,7 +14,6 @@ from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.engine import UNUSED_PRAGMA_RULE_ID
 from repro.analysis.flow import build_lock_graph
 from repro.analysis.graph import build_project
-from repro.analysis import sanitizer
 
 INVERTED_A = '''\
 import threading
@@ -216,122 +212,6 @@ class TestGraphPragmasAndBaseline:
         )
         unmatched, stale = baseline.apply(findings)
         assert unmatched == [] and stale == []
-
-
-class TestGemsan:
-    def _run_toy(self):
-        recorder = sanitizer.LockOrderRecorder()
-        sanitizer.install(recorder)
-        try:
-
-            class Toy:
-                def __init__(self):
-                    self._a = threading.Lock()
-                    self._b = threading.RLock()
-
-                def ab(self):
-                    with self._a:
-                        with self._b:
-                            pass
-
-                def ba(self):
-                    with self._b:
-                        with self._a:
-                            pass
-
-            toy = Toy()
-            toy.ab()
-            toy.ba()
-        finally:
-            sanitizer.uninstall()
-        return recorder
-
-    def test_detects_inverted_two_lock_toy(self):
-        recorder = self._run_toy()
-        snap = recorder.snapshot()
-        edges = {
-            ((a["path"], a["line"]), (b["path"], b["line"]))
-            for a, b, _count in snap["edges"]
-        }
-        assert len(edges) == 2
-        (edge_one, edge_two) = sorted(edges)
-        # The two edges are each other's reverse: a dynamic inversion.
-        assert edge_one == (edge_two[1], edge_two[0])
-
-    def test_uninstall_restores_real_factories(self):
-        self._run_toy()
-        assert threading.Lock is sanitizer._REAL_LOCK
-        assert threading.RLock is sanitizer._REAL_RLOCK
-
-    def test_reentrant_acquire_records_no_edge(self):
-        recorder = sanitizer.LockOrderRecorder()
-        sanitizer.install(recorder)
-        try:
-            lock = threading.RLock()
-            with lock:
-                with lock:
-                    pass
-        finally:
-            sanitizer.uninstall()
-        assert recorder.snapshot()["edges"] == []
-
-    def test_check_dump_flags_edge_static_graph_missed(self, tmp_path):
-        # Static project: two locks, never nested → no static edges.
-        toy = tmp_path / "toy.py"
-        toy.write_text(
-            "import threading\n\n\n"
-            "class Toy:\n"
-            "    def __init__(self):\n"
-            "        self._a = threading.Lock()\n"
-            "        self._b = threading.Lock()\n",
-            encoding="utf-8",
-        )
-        dump = {
-            "edges": [
-                [
-                    {"path": str(toy), "line": 6},
-                    {"path": str(toy), "line": 7},
-                    3,
-                ]
-            ]
-        }
-        problems = sanitizer.check_dump(dump, [toy], root=tmp_path)
-        assert problems and "not in static graph" in problems[0]
-
-    def test_check_dump_accepts_statically_known_edge(self, tmp_path):
-        toy = tmp_path / "toy.py"
-        toy.write_text(
-            "import threading\n\n\n"
-            "class Toy:\n"
-            "    def __init__(self):\n"
-            "        self._a = threading.Lock()\n"
-            "        self._b = threading.Lock()\n\n"
-            "    def nest(self):\n"
-            "        with self._a:\n"
-            "            with self._b:\n"
-            "                pass\n",
-            encoding="utf-8",
-        )
-        dump = {
-            "edges": [
-                [{"path": str(toy), "line": 6}, {"path": str(toy), "line": 7}, 1]
-            ]
-        }
-        assert sanitizer.check_dump(dump, [toy], root=tmp_path) == []
-
-    def test_check_dump_ignores_unmapped_sites(self, tmp_path):
-        toy = tmp_path / "toy.py"
-        toy.write_text("import threading\n", encoding="utf-8")
-        dump = {
-            "edges": [
-                [
-                    {"path": "/somewhere/else.py", "line": 10},
-                    {"path": "/somewhere/else.py", "line": 20},
-                    1,
-                ]
-            ]
-        }
-        assert sanitizer.check_dump(dump, [toy], root=tmp_path) == []
 
 
 def test_serve_layer_is_clean_under_graph_rules():

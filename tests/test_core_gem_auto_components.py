@@ -73,7 +73,6 @@ class TestAutoComponents:
         GemEmbedder(config=cfg).fit(three_mode_corpus)
         assert seen["init"] == "quantile"
         assert seen["warm_start"] is False
-        assert seen["fit_engine"] == cfg.fit_engine
         assert seen["fit_batch_size"] == cfg.fit_batch_size
 
     def test_warm_start_bic_selects_same_structure(self, three_mode_corpus):

@@ -144,7 +144,6 @@ class TestBatchingFieldsRoundtrip:
         cfg = GemConfig.fast(
             n_components=6,
             n_init=1,
-            fit_engine="batched",
             fit_batch_size=1024,
             warm_start_bic=True,
         )
@@ -154,19 +153,18 @@ class TestBatchingFieldsRoundtrip:
         save_gem(gem, path)
         restored = load_gem(path)
         assert restored.config == cfg
-        assert restored.config.fit_engine == "batched"
         assert restored.config.fit_batch_size == 1024
         assert restored.config.warm_start_bic is True
         # The reconstructed mixture carries the training profile too.
-        assert restored.gmm_.fit_engine == "batched"
         assert restored.gmm_.fit_batch_size == 1024
         assert restored.gmm_.init == cfg.gmm_init
 
     def test_retired_serve_keys_load_silently(self):
-        # Archives and manifests written while serving policy lived on
-        # GemConfig carry these keys; they load without a warning, while
-        # any other unknown key still warns.
+        # Archives and manifests written while serving policy and the
+        # fit-engine switch lived on GemConfig carry these keys; they load
+        # without a warning, while any other unknown key still warns.
         retired = dict(
+            fit_engine="serial",
             serve_batch_window_ms=7.5,
             serve_max_batch=32,
             serve_max_workers=4,

@@ -1102,19 +1102,25 @@ class TestEmbedderIntegration:
         hits = index.search_corpus(other, 3)
         assert hits.positions.shape == (5, 3)
 
-    def test_legacy_archive_without_frozen_balance_is_corpus_dependent(self, fitted):
-        # A model restored from a pre-freezing archive has no frozen
-        # balance statistics: its transform falls back to per-corpus
-        # balance and must be flagged so search_corpus refuses
-        # cross-corpus queries instead of mixing spaces.
+    @pytest.mark.parametrize("member", ["signature_balance", "block_norms"])
+    def test_archive_missing_balance_refused(self, fitted, tmp_path, member):
+        # Without a frozen balance statistic its config needs, a stacked
+        # model would balance each transformed corpus on its own, and rows
+        # embedded from different corpora could not be compared. load_gem
+        # refuses such an archive instead of serving mixed spaces.
+        from repro.core import load_gem, save_gem
+
         corpus, gem, emb = fitted
-        legacy = GemEmbedder(**FAST).fit(corpus)
-        legacy._signature_balance = None  # what load_gem leaves for old archives
-        legacy._block_norms = None
-        assert legacy.transform_is_corpus_dependent
-        index = legacy.build_index(corpus)
-        with pytest.raises(ValueError, match="corpus-dependent"):
-            index.search_corpus(corpus.take(list(range(4))), 3)
+        dsc = GemEmbedder(use_contextual=True, **FAST).fit(corpus)
+        path = tmp_path / "gem.npz"
+        save_gem(dsc, path)
+        with np.load(path) as archive:
+            payload = dict(archive)
+        del payload[member]
+        np.savez(path, **_resign(payload))
+        with pytest.raises(ValueError, match=member) as excinfo:
+            load_gem(path)
+        assert str(path) in str(excinfo.value)
 
     def test_stacked_transform_is_subset_invariant(self, fitted):
         # The point of freezing the balance statistics at fit: embedding a
