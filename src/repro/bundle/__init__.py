@@ -27,8 +27,8 @@ Python::
 
 ``sweep`` (:mod:`repro.bundle.sweep`) extends the warm-started BIC sweep
 of :mod:`repro.gmm.selection` to retrieval-quality objectives over
-declared GemConfig grids, writing a byte-reproducible ranked table into
-the bundle.
+declared grids of GemConfig fields (and, for index recall, GemIndex
+arguments), writing a byte-reproducible ranked table into the bundle.
 """
 
 from repro.core.persistence import CorruptArchiveError

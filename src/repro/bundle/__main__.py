@@ -104,14 +104,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "index", help="build and persist the retrieval index from the fit stage"
     )
     index.add_argument("bundle", help="bundle directory")
-    index.add_argument("--backend", help="index backend: exact, ivf or pq")
+    index.add_argument(
+        "--backend", help="index backend: exact, ivf or pq (same as --set backend=...)"
+    )
     index.add_argument(
         "--set",
         dest="sets",
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="GemIndex override (repeatable), e.g. --set n_probe=4",
+        help="GemIndex argument (repeatable), e.g. --set n_probe=4; "
+        "unset ones take GemIndex's defaults",
     )
 
     serve = sub.add_parser(
@@ -175,9 +178,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    manifest = index_stage(
-        args.bundle, backend=args.backend, **_parse_sets(args.sets)
-    )
+    index_kwargs = _parse_sets(args.sets)
+    if args.backend is not None:
+        if "backend" in index_kwargs:
+            raise ValueError("give the backend once: --backend or --set backend=...")
+        index_kwargs["backend"] = args.backend
+    manifest = index_stage(args.bundle, **index_kwargs)
     record = manifest["stages"]["index"]
     print(
         f"index: {record['artifact']} backend={record['backend']} "

@@ -172,14 +172,16 @@ def fit_stage(
     return manifest
 
 
-def index_stage(
-    bundle_dir: str | Path, *, backend: str | None = None, **index_overrides: object
-) -> dict:
+def index_stage(bundle_dir: str | Path, **index_kwargs: object) -> dict:
     """Build and persist the retrieval index from the bundle's fit stage.
 
     Validates the fit artifact (corrupt check), the regenerated corpus
     (stale check) and the loaded model's fingerprint before building.
-    Returns the written manifest.
+    ``index_kwargs`` are :class:`~repro.index.GemIndex` arguments
+    (``backend``, ``n_probe``, …) passed through
+    :meth:`~repro.core.gem.GemEmbedder.build_index`; the index settings
+    come only from them, never from the stored config. Returns the written
+    manifest.
     """
     bundle_dir = Path(bundle_dir)
     manifest = read_manifest(bundle_dir)
@@ -193,7 +195,7 @@ def index_stage(
             f"stage record {fit_rec.get('model_fingerprint')}"
         )
     corpus = _check_corpus(manifest)
-    index = gem.build_index(corpus, backend=backend, **index_overrides)
+    index = gem.build_index(corpus, **index_kwargs)
     index_path = bundle_dir / INDEX_ARTIFACT
     save_index(index, index_path)
     manifest = record_stage(

@@ -1,8 +1,8 @@
 """Deterministic config sweeps ranked by retrieval-quality objectives.
 
 The paper's §4 sensitivity analysis sweeps GemConfig knobs (component
-count, value transform, index backend and its compression knobs) by hand;
-this module is the scripted version. A sweep declares a grid, an
+count, value transform) and the index backend with its compression knobs
+by hand; this module is the scripted version. A sweep declares a grid, an
 objective and a seed; the driver
 
 * expands the grid in a canonical order (sorted parameter names,
@@ -22,11 +22,14 @@ Objectives:
   retrieval metrics (:func:`~repro.evaluation.precision_recall_at_k`,
   macro over ground-truth types) computed on the dense embeddings; use
   these to sweep *model* knobs (``n_components``, ``value_transform``).
-* ``index_recall_at_k`` (maximize) — recall of the trial's configured
-  index backend against an exact-search oracle over the same rows; use
-  this to sweep *index* knobs (``index_backend``, ``index_n_lists``,
-  ``index_n_probe``, ``index_pq_*``), where the embedding space is fixed
-  and the question is what the compressed backend gives up.
+* ``index_recall_at_k`` (maximize) — recall of the trial's index against
+  an exact-search oracle (``GemIndex(dim)`` at its defaults: exact,
+  float64) over the same rows; use this to sweep *index* knobs. Grid keys
+  that name :class:`~repro.index.GemIndex` arguments (``backend``,
+  ``n_lists``, ``n_probe``, ``dtype``, ``pq_*``, …; read off its
+  signature) build the trial's index, and only this objective accepts
+  them. The embedding space is fixed, and the question is what the
+  compressed backend gives up.
 * ``bic`` (minimize) — the shared mixture's BIC on the data it was
   fitted on, the criterion :func:`~repro.gmm.select_n_components_bic`
   minimises.
@@ -34,6 +37,7 @@ Objectives:
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -52,6 +56,7 @@ from repro.core.config import GemConfig
 from repro.core.gem import GemEmbedder
 from repro.core.persistence import atomic_write_json, file_checksum
 from repro.evaluation.precision import precision_recall_at_k
+from repro.index import GemIndex
 
 #: Neighbour count used by the index-recall objective (capped at n-1).
 INDEX_RECALL_K = 10
@@ -69,42 +74,29 @@ def _recall_objective(gem, corpus, embeddings, labels) -> float:
     return float(precision_recall_at_k(embeddings, list(labels)).macro_recall)
 
 
-def _index_recall_objective(gem, corpus, embeddings, labels) -> float:
-    """Recall@k of the configured backend against an exact oracle.
+def _index_recall_objective(gem, corpus, embeddings, labels, **index_kwargs) -> float:
+    """Recall@k of the trial's index against an exact oracle.
 
-    Builds two indexes over the trial's embedding rows — the configured
-    backend and an exact one — and measures the mean fraction of each
-    row's true top-k neighbours (self excluded) the configured backend
-    returns. Exact backends score 1.0 by construction; IVF/PQ trade this
-    number against their speed/RAM knobs.
+    Builds two indexes over the trial's embedding rows — one from the
+    trial's ``GemIndex`` arguments, seeded from the trial config, and the
+    oracle ``GemIndex(dim)`` at its defaults (exact, float64) — and
+    measures the mean fraction of each row's true top-k neighbours (self
+    excluded) the trial's index returns. The float64 exact backend scores
+    1.0 by construction; IVF/PQ and float32 storage trade this number
+    against their speed/RAM knobs.
     """
-    from repro.index import GemIndex
-
-    cfg = gem.config
     X = np.asarray(embeddings)
     n = X.shape[0]
     if n < 2:
         return 1.0
     k = min(INDEX_RECALL_K, n - 1)
     ids = [str(i) for i in range(n)]
-
-    def build(backend: str) -> GemIndex:
-        index = GemIndex(
-            X.shape[1],
-            backend=backend,
-            n_lists=cfg.index_n_lists,
-            n_probe=cfg.index_n_probe,
-            dtype=cfg.index_dtype,
-            pq_subvectors=cfg.index_pq_subvectors,
-            pq_codes=cfg.index_pq_codes,
-            pq_rerank=cfg.index_pq_rerank,
-            random_state=cfg.random_state if cfg.random_state is not None else 0,
-        )
+    trial = GemIndex(X.shape[1], random_state=gem.config.random_state, **index_kwargs)
+    oracle = GemIndex(X.shape[1])
+    for index in (trial, oracle):
         index.add(ids, X)
-        return index
-
-    approx = build(cfg.index_backend).search(X, k + 1)
-    exact = build("exact").search(X, k + 1)
+    approx = trial.search(X, k + 1)
+    exact = oracle.search(X, k + 1)
     hits = 0
     total = 0
     for row in range(n):
@@ -136,6 +128,12 @@ _OBJECTIVES = {
 
 
 _CONFIG_FIELDS = {f.name for f in GemConfig.__dataclass_fields__.values()}
+#: GemIndex arguments a grid may name (``random_state`` stays the config's).
+_INDEX_ARGS = {
+    name
+    for name, param in inspect.signature(GemIndex).parameters.items()
+    if param.kind is param.KEYWORD_ONLY and name not in _CONFIG_FIELDS
+}
 
 
 def expand_grid(grid: dict[str, list]) -> list[dict]:
@@ -150,10 +148,10 @@ def expand_grid(grid: dict[str, list]) -> list[dict]:
         return [{}]
     names = sorted(grid)
     for name in names:
-        if name not in _CONFIG_FIELDS:
+        if name not in _CONFIG_FIELDS and name not in _INDEX_ARGS:
             raise ValueError(
-                f"unknown GemConfig field {name!r} in sweep grid; "
-                f"sweepable fields include: {sorted(_CONFIG_FIELDS)[:12]} …"
+                f"sweep grid key {name!r} is neither a GemConfig field nor a "
+                f"GemIndex argument; GemIndex arguments: {sorted(_INDEX_ARGS)}"
             )
         if not grid[name]:
             raise ValueError(f"sweep grid parameter {name!r} has no values")
@@ -164,13 +162,19 @@ def expand_grid(grid: dict[str, list]) -> list[dict]:
 
 
 def _run_trial(base: GemConfig, params: dict, corpus, labels, score, seed: int) -> dict:
-    """Fit + score one grid point; errors become a ranked-last record."""
+    """Fit + score one grid point; errors become a ranked-last record.
+
+    GemConfig fields in ``params`` configure the fit; the rest are GemIndex
+    arguments for the objective.
+    """
     try:
-        overrides = {"random_state": seed, **params}
-        gem = GemEmbedder(config=base, **overrides)
+        overrides = {k: v for k, v in params.items() if k in _CONFIG_FIELDS}
+        index_kwargs = {k: v for k, v in params.items() if k not in _CONFIG_FIELDS}
+        gem = GemEmbedder(config=base, **{"random_state": seed, **overrides})
         gem.fit(corpus)
         embeddings = gem.transform(corpus)
-        return {"params": params, "value": float(score(gem, corpus, embeddings, labels))}
+        value = score(gem, corpus, embeddings, labels, **index_kwargs)
+        return {"params": params, "value": float(value)}
     except Exception as exc:  # a bad grid point must not sink the sweep
         return {"params": params, "error": f"{type(exc).__name__}: {exc}"}
 
@@ -196,6 +200,12 @@ def run_sweep(
     if objective not in _OBJECTIVES:
         raise KeyError(f"unknown sweep objective {objective!r}; known: {sorted(_OBJECTIVES)}")
     direction, score = _OBJECTIVES[objective]
+    index_keys = sorted(_INDEX_ARGS.intersection(grid))
+    if index_keys and objective != "index_recall_at_k":
+        raise ValueError(
+            f"grid keys {index_keys} are GemIndex arguments, which only the "
+            "index_recall_at_k objective uses"
+        )
     try:
         manifest = read_manifest(bundle_dir)
     except FileNotFoundError:

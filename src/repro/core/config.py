@@ -4,13 +4,19 @@ Defaults follow the paper's parameter setting (§4.1.4): 50 Gaussian
 components, EM tolerance 1e-3, 10 EM restarts. The extra switches expose the
 design choices DESIGN.md calls out for ablation (signature kind,
 normalisation, stacked-vs-per-column fitting, value transform).
+
+``GemConfig`` holds what fits and embeds; each downstream setting has one
+owner elsewhere. Index settings (backend, probe width, storage dtype, PQ
+codebooks) are :class:`~repro.index.GemIndex` arguments, and serving policy
+(batching, deadlines, admission) is :class:`~repro.serve.GemService`
+arguments.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.utils.rng import RandomState
 
@@ -19,15 +25,21 @@ _NORMALIZATIONS = ("l1", "l2", "none")
 _FIT_MODES = ("stacked", "per_column")
 _VALUE_TRANSFORMS = ("none", "log_squash", "standardize")
 _COMPOSITIONS = ("concatenation", "aggregation", "autoencoder")
-_INDEX_BACKENDS = ("exact", "ivf", "pq")
-_INDEX_DTYPES = ("float64", "float32")
 # Keys that archives and manifests written by older versions still carry
-# (the serving policy that moved to GemService, and the removed fit-engine
-# switch); none is part of the model fingerprint, so they are dropped on
-# read without a warning.
+# (the serving policy that moved to GemService, the index settings that
+# moved to GemIndex, and the removed fit-engine switch); none is part of
+# the model fingerprint, so they are dropped on read without a warning.
 _RETIRED_KEYS = frozenset(
     {
         "fit_engine",
+        "index_backend",
+        "index_block_size",
+        "index_n_lists",
+        "index_n_probe",
+        "index_dtype",
+        "index_pq_subvectors",
+        "index_pq_codes",
+        "index_pq_rerank",
         "serve_batch_window_ms",
         "serve_max_batch",
         "serve_max_workers",
@@ -133,36 +145,6 @@ class GemConfig:
         Dimensionality of the contextual header embeddings.
     ae_latent_dim / ae_epochs:
         Autoencoder-composition hyper-parameters.
-    index_backend:
-        Default backend for :meth:`GemEmbedder.build_index`: ``"exact"``
-        (streamed blocked search, bit-identical to the dense path),
-        ``"ivf"`` (partitioned approximate search) or ``"pq"``
-        (IVF + product quantization — rows stored as uint8 codes for
-        RAM-bound lakes).
-    index_block_size:
-        Stored rows scored per matmul on the exact search path. A memory
-        knob only — results are bit-identical for any value.
-    index_n_lists:
-        Inverted lists for the IVF coarse quantizer; ``None`` resolves to
-        ``round(sqrt(n))`` when the quantizer trains.
-    index_n_probe:
-        Inverted lists probed per IVF/PQ query — the recall/speed
-        trade-off.
-    index_dtype:
-        Storage dtype of the index's row buffers: ``"float64"`` (default,
-        the bit-identity oracle against the dense path) or ``"float32"``
-        (half the bytes per row for a benchmark-gated recall delta; all
-        kernel arithmetic stays float64).
-    index_pq_subvectors:
-        PQ backend: sub-vector slices per row — each stored row compresses
-        to this many uint8 codes.
-    index_pq_codes:
-        PQ backend: entries per sub-codebook (2–256 so a code fits one
-        uint8).
-    index_pq_rerank:
-        PQ backend: re-score this many top ADC candidates per query
-        exactly from the raw rows before the final top-k cut (0 disables;
-        enabling keeps the raw rows resident alongside the codes).
     random_state:
         Seed threaded through every stochastic stage.
     """
@@ -193,14 +175,6 @@ class GemConfig:
     header_dim: int = 256
     ae_latent_dim: int = 64
     ae_epochs: int = 150
-    index_backend: str = "exact"
-    index_block_size: int = 4096
-    index_n_lists: int | None = None
-    index_n_probe: int = 8
-    index_dtype: str = "float64"
-    index_pq_subvectors: int = 8
-    index_pq_codes: int = 256
-    index_pq_rerank: int = 0
     random_state: RandomState = 0
 
     def __post_init__(self) -> None:
@@ -244,49 +218,6 @@ class GemConfig:
             )
         if not (self.use_distributional or self.use_statistical or self.use_contextual):
             raise ValueError("at least one of D/S/C feature families must be enabled")
-        if self.index_backend not in _INDEX_BACKENDS:
-            raise ValueError(
-                f"index_backend must be one of {_INDEX_BACKENDS}, got {self.index_backend!r}"
-            )
-        if self.index_block_size < 1:
-            raise ValueError(f"index_block_size must be >= 1, got {self.index_block_size}")
-        if self.index_n_lists is not None and self.index_n_lists < 1:
-            raise ValueError(f"index_n_lists must be None or >= 1, got {self.index_n_lists}")
-        if self.index_n_probe < 1:
-            raise ValueError(f"index_n_probe must be >= 1, got {self.index_n_probe}")
-        if self.index_dtype not in _INDEX_DTYPES:
-            raise ValueError(
-                f"index_dtype must be one of {_INDEX_DTYPES}, got {self.index_dtype!r}"
-            )
-        if self.index_pq_subvectors < 1:
-            raise ValueError(
-                f"index_pq_subvectors must be >= 1, got {self.index_pq_subvectors}"
-            )
-        if not 2 <= self.index_pq_codes <= 256:
-            raise ValueError(
-                f"index_pq_codes must be in [2, 256], got {self.index_pq_codes}"
-            )
-        if self.index_pq_rerank < 0:
-            raise ValueError(
-                f"index_pq_rerank must be >= 0, got {self.index_pq_rerank}"
-            )
-
-    def with_features(
-        self,
-        *,
-        distributional: bool | None = None,
-        statistical: bool | None = None,
-        contextual: bool | None = None,
-    ) -> "GemConfig":
-        """Copy of this config with different D/S/C switches (ablation)."""
-        return replace(
-            self,
-            use_distributional=(
-                self.use_distributional if distributional is None else distributional
-            ),
-            use_statistical=self.use_statistical if statistical is None else statistical,
-            use_contextual=self.use_contextual if contextual is None else contextual,
-        )
 
     def to_manifest_dict(self) -> dict:
         """This config as a JSON-serialisable dict (manifest/archive form).
@@ -321,8 +252,9 @@ class GemConfig:
         with a warning — not silently, a typo'd hand-edited key must be
         noticed — and missing ones fall back to the dataclass defaults.
         Retired keys — the ``serve_*`` serving policy (now
-        :class:`~repro.serve.GemService` arguments) and the old fit-engine
-        switch — are dropped silently.
+        :class:`~repro.serve.GemService` arguments), the ``index_*``
+        settings (now :class:`~repro.index.GemIndex` arguments) and the old
+        fit-engine switch — are dropped silently.
         Field values are re-validated by ``__post_init__``, so a
         hand-edited manifest cannot smuggle in an invalid configuration.
         """

@@ -125,18 +125,6 @@ class GemEmbedder:
             else None
         )
 
-    @classmethod
-    def from_config_dict(cls, cfg_dict: dict) -> "GemEmbedder":
-        """Build an unfitted embedder from a manifest-style config dict.
-
-        The dict is the shape produced by
-        :meth:`GemConfig.to_manifest_dict` (plain JSON types, unknown keys
-        tolerated with a warning); ``__post_init__`` re-validates every
-        field, so a hand-edited manifest cannot smuggle an invalid config
-        into a pipeline stage.
-        """
-        return cls(config=GemConfig.from_manifest_dict(cfg_dict))
-
     # ------------------------------------------------------------------ fit
 
     def fit(self, corpus: ColumnCorpus) -> "GemEmbedder":
@@ -538,8 +526,7 @@ class GemEmbedder:
         corpus: ColumnCorpus,
         *,
         ids: list[str] | None = None,
-        backend: str | None = None,
-        **index_overrides: object,
+        **index_kwargs: object,
     ):
         """Embed ``corpus`` and build a :class:`~repro.index.GemIndex` on it.
 
@@ -557,18 +544,15 @@ class GemEmbedder:
         ids:
             Stable column ids, one per column; defaults to
             ``"<position>:<header>"`` (:func:`repro.index.corpus_column_ids`).
-        backend:
-            ``"exact"``, ``"ivf"`` or ``"pq"``; defaults to
-            ``config.index_backend``.
-        **index_overrides:
-            Forwarded to :class:`~repro.index.GemIndex` (``block_size``,
-            ``n_lists``, ``n_probe``, ``dtype``, ``pq_rerank``, …),
-            overriding the config defaults.
+        **index_kwargs:
+            :class:`~repro.index.GemIndex` arguments (``backend``,
+            ``n_lists``, ``n_probe``, ``dtype``, ``pq_rerank``, …), which
+            validates them; omitted ones take ``GemIndex``'s defaults, except
+            ``random_state``, which defaults to ``config.random_state``.
         """
         from repro.index import GemIndex, corpus_column_ids
 
         self._check_fitted()
-        cfg = self.config
         embeddings = self.transform(corpus)
         if ids is None:
             ids = corpus_column_ids(corpus)
@@ -576,19 +560,8 @@ class GemEmbedder:
         # a query column's own stored row exactly, even when the transform
         # itself is not call-reproducible.
         value_fps = [array_fingerprint(c.values) for c in corpus]
-        kwargs: dict[str, object] = dict(
-            backend=backend if backend is not None else cfg.index_backend,
-            block_size=cfg.index_block_size,
-            n_lists=cfg.index_n_lists,
-            n_probe=cfg.index_n_probe,
-            dtype=cfg.index_dtype,
-            pq_subvectors=cfg.index_pq_subvectors,
-            pq_codes=cfg.index_pq_codes,
-            pq_rerank=cfg.index_pq_rerank,
-            random_state=cfg.random_state,
-        )
-        kwargs.update(index_overrides)
-        index = GemIndex(embeddings.shape[1], **kwargs)  # type: ignore[arg-type]
+        index_kwargs.setdefault("random_state", self.config.random_state)
+        index = GemIndex(embeddings.shape[1], **index_kwargs)  # type: ignore[arg-type]
         index.add(ids, embeddings, value_fingerprints=value_fps)
         index.attach(self)
         return index

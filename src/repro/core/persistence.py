@@ -22,7 +22,7 @@ import os
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Callable
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -115,6 +115,44 @@ def file_checksum(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _atomic_replace(final: Path, write: Callable[[BinaryIO], object]) -> Path:
+    """Atomically put the bytes ``write`` produces at ``final``.
+
+    ``write`` fills a sibling ``.tmp`` file, which is flushed and fsynced,
+    then :func:`os.replace`'d over the final name, and the directory entry
+    is fsynced — so a crash at *any* point leaves either the previous file
+    intact or the new one complete, never a torn file under the real name.
+    Returns ``final``.
+    """
+    tmp = final.with_name(final.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        _fault("persistence.replace")
+        os.replace(tmp, final)
+    except Exception:
+        # Recoverable failure: don't litter. A KillPoint (BaseException,
+        # modelling process death) skips this on purpose — a real crash
+        # leaves the tmp file behind too, and the final name untouched.
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
+    try:
+        # Durability of the rename itself: fsync the directory entry.
+        dir_fd = os.open(final.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError:
+        pass  # not supported on every platform/filesystem; rename still atomic
+    return final
+
+
 def atomic_write_json(path: str | Path, obj: object, *, indent: int = 2) -> Path:
     """Write a JSON document atomically (tmp file + fsync + ``os.replace``).
 
@@ -124,31 +162,8 @@ def atomic_write_json(path: str | Path, obj: object, *, indent: int = 2) -> Path
     same bytes (bundle manifests and sweep tables rely on byte-identical
     re-serialisation). Returns the path written.
     """
-    final = Path(path)
     data = json.dumps(obj, indent=indent, sort_keys=True).encode("utf-8") + b"\n"
-    tmp = final.with_name(final.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        _fault("persistence.replace")
-        os.replace(tmp, final)
-    except Exception:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
-    try:
-        dir_fd = os.open(final.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-    except OSError:
-        pass  # not supported on every platform/filesystem; rename still atomic
-    return final
+    return _atomic_replace(Path(path), lambda fh: fh.write(data))
 
 
 def npz_path(path: str | Path) -> Path:
@@ -197,45 +212,18 @@ def archive_checksum(arrays: dict[str, np.ndarray]) -> str:
 def atomic_savez(path: str | Path, arrays: dict[str, np.ndarray]) -> Path:
     """Write an ``.npz`` archive atomically, with an embedded checksum.
 
-    The archive is written to a sibling ``.tmp`` file, flushed and
-    fsynced, then :func:`os.replace`'d over the final name — so a crash
-    at *any* point leaves either the previous archive intact or the new
-    one complete, never a torn file under the real name. The payload
-    gains a ``__checksum__`` member (:func:`archive_checksum` over the
-    caller's arrays) that :func:`read_archive` verifies on load.
+    The archive goes through the same tmp file + fsync + ``os.replace``
+    sequence as :func:`atomic_write_json`, so a crash at *any* point leaves
+    either the previous archive intact or the new one complete, never a
+    torn file under the real name. The payload gains a ``__checksum__``
+    member (:func:`archive_checksum` over the caller's arrays) that
+    :func:`read_archive` verifies on load.
 
     Returns the final path written (with the ``.npz`` suffix applied).
     """
-    final = npz_path(path)
     payload = dict(arrays)
     payload["__checksum__"] = json_to_array(archive_checksum(arrays))
-    tmp = final.with_name(final.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        _fault("persistence.replace")
-        os.replace(tmp, final)
-    except Exception:
-        # Recoverable failure: don't litter. A KillPoint (BaseException,
-        # modelling process death) skips this on purpose — a real crash
-        # leaves the tmp file behind too, and the final name untouched.
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
-    try:
-        # Durability of the rename itself: fsync the directory entry.
-        dir_fd = os.open(final.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-    except OSError:
-        pass  # not supported on every platform/filesystem; rename still atomic
-    return final
+    return _atomic_replace(npz_path(path), lambda fh: np.savez(fh, **payload))
 
 
 def read_archive(path: str | Path) -> dict[str, np.ndarray]:

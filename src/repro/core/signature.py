@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.table import ColumnCorpus
 from repro.gmm.model import GaussianMixture
 from repro.utils.preprocessing import l1_normalize, l2_normalize
 from repro.utils.validation import check_array_2d
@@ -205,15 +204,9 @@ def signature_matrix(
     raise ValueError(f"normalization must be 'l1', 'l2' or 'none', got {normalization!r}")
 
 
-def corpus_value_columns(corpus: ColumnCorpus) -> list[np.ndarray]:
-    """The per-column value arrays of a corpus (helper for callers)."""
-    return corpus.value_lists()
-
-
 __all__ = [
     "column_offsets",
     "column_chunks",
     "mean_component_probabilities",
     "signature_matrix",
-    "corpus_value_columns",
 ]

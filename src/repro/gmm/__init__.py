@@ -9,9 +9,10 @@ fully-tested implementation:
   seeding, the IVF/PQ quantizer and a reusable clustering primitive;
 * :class:`~repro.gmm.model.GaussianMixture` — 1-D GMM over the stacked
   column values, with a log-sum-exp-stabilised E-step, the M-step updates
-  of Eqs. 3-5, ``n_init`` restart-vectorized restarts and a variance floor;
-* :class:`~repro.gmm.model.BatchPlan` — the row-chunking plan behind the
-  bounded-memory ``batch_size`` option of every inference method;
+  of Eqs. 3-5, ``n_init`` restart-vectorized restarts and a variance floor.
+  Inference (``predict_proba``, ``score_samples``, ``component_pdf``) is
+  row-wise, so the transform bounds its memory by scoring column-aligned
+  chunks (:func:`repro.core.signature.column_chunks`);
 * :class:`~repro.gmm.model.FitPlan` — the block-aligned chunking plan of
   the streaming fit engine (``fit_batch_size``) over the distinct stacked
   values, whose reductions make chunked and unchunked fits bit-identical;
@@ -24,14 +25,13 @@ fully-tested implementation:
 """
 
 from repro.gmm.kmeans import KMeans, kmeans_plus_plus_init, seed_restarts_1d
-from repro.gmm.model import BatchPlan, FitPlan, GaussianMixture
+from repro.gmm.model import FitPlan, GaussianMixture
 from repro.gmm.selection import SelectionReport, select_n_components_bic, split_components
 
 __all__ = [
     "KMeans",
     "kmeans_plus_plus_init",
     "seed_restarts_1d",
-    "BatchPlan",
     "FitPlan",
     "GaussianMixture",
     "SelectionReport",

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.gmm._grid import REDUCE_BLOCK
 from repro.gmm.kmeans import seed_restarts_1d
-from repro.utils.rng import RandomState, check_random_state, spawn_seeds
+from repro.utils.rng import RandomState, spawn_seeds
 from repro.utils.validation import (
     check_array_2d,
     check_fitted,
@@ -42,60 +42,18 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
-class BatchPlan:
-    """Row-chunking plan for streaming inference over a large sample matrix.
-
-    Iterating yields contiguous ``slice`` objects covering ``[0, n_samples)``
-    in order, each at most ``batch_size`` rows. ``batch_size=None`` means a
-    single full-width slice (the unchunked path). The plan is the unit every
-    chunked scorer shares, so the pooling layer can fuse its segment
-    reduction with the same chunk boundaries.
-    """
-
-    n_samples: int
-    batch_size: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_samples < 0:
-            raise ValueError(f"n_samples must be >= 0, got {self.n_samples}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be None or >= 1, got {self.batch_size}")
-
-    @property
-    def effective_batch_size(self) -> int:
-        """Rows per chunk after resolving ``None`` to the full width."""
-        if self.batch_size is None:
-            return max(self.n_samples, 1)
-        return min(self.batch_size, max(self.n_samples, 1))
-
-    @property
-    def n_batches(self) -> int:
-        if self.n_samples == 0:
-            return 0
-        step = self.effective_batch_size
-        return -(-self.n_samples // step)
-
-    def __len__(self) -> int:
-        return self.n_batches
-
-    def __iter__(self) -> Iterator[slice]:
-        step = self.effective_batch_size
-        for start in range(0, self.n_samples, step):
-            yield slice(start, min(start + step, self.n_samples))
-
-
-class FitPlan(BatchPlan):
+class FitPlan:
     """Row-chunking plan for the streaming fit engine.
 
     The fit engine plans over the *distinct* values of the stack (see
     :class:`_BatchedEM`), so ``n_samples`` counts distinct values and
-    ``batch_size`` is distinct values per E-step chunk.
+    ``batch_size`` is distinct values per E-step chunk. Iterating yields
+    contiguous ``slice`` objects covering ``[0, n_samples)`` in order.
 
-    Extends :class:`BatchPlan` with one extra guarantee the training path
-    needs: every chunk boundary falls on a multiple of ``REDUCE_BLOCK``
-    (the requested ``batch_size`` is rounded down to the nearest multiple,
-    never below one block). Combined with :func:`_block_accumulate`, which
-    folds chunk rows into the M-step sufficient statistics in fixed
+    Every chunk boundary falls on a multiple of ``REDUCE_BLOCK`` (the
+    requested ``batch_size`` is rounded down to the nearest multiple, never
+    below one block). Combined with :func:`_block_accumulate`, which folds
+    chunk rows into the M-step sufficient statistics in fixed
     ``REDUCE_BLOCK``-row blocks, the summation tree over samples depends
     only on the global block grid — not on how rows were chunked — so a fit
     is **bit-for-bit identical for every ``fit_batch_size``**, including the
@@ -109,8 +67,18 @@ class FitPlan(BatchPlan):
     REDUCE_BLOCK: ClassVar[int] = REDUCE_BLOCK  # shared grid, repro.gmm._grid
     DEFAULT_BATCH: ClassVar[int] = 2048
 
+    n_samples: int
+    batch_size: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.n_samples < 0:
+            raise ValueError(f"n_samples must be >= 0, got {self.n_samples}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be None or >= 1, got {self.batch_size}")
+
     @property
     def effective_batch_size(self) -> int:
+        """Rows per chunk: ``batch_size`` on the block grid, capped at ``n_samples``."""
         n = max(self.n_samples, 1)
         if self.batch_size is None:
             step = self.DEFAULT_BATCH
@@ -118,6 +86,11 @@ class FitPlan(BatchPlan):
             step = max(self.batch_size, self.REDUCE_BLOCK)
         step -= step % self.REDUCE_BLOCK
         return min(step, n)
+
+    def __iter__(self) -> Iterator[slice]:
+        step = self.effective_batch_size
+        for start in range(0, self.n_samples, step):
+            yield slice(start, min(start + step, self.n_samples))
 
 
 def _block_accumulate(acc: np.ndarray, chunk: np.ndarray) -> None:
@@ -665,88 +638,41 @@ class GaussianMixture:
 
     # ------------------------------------------------------------- inference
 
-    def predict_proba(self, X: np.ndarray, *, batch_size: int | None = None) -> np.ndarray:
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Posterior responsibilities gamma(z_nj) for each sample (Eq. 2).
 
-        With ``batch_size`` set, rows are scored in chunks of at most that
-        many samples, bounding peak intermediate memory at
-        ``O(batch_size * n_components)`` regardless of ``len(X)``. The
-        log-sum-exp is row-wise, so chunking does not change the result.
+        Row-wise: scoring a slice of ``X`` equals slicing the scores of
+        ``X``, bit for bit, so callers bound memory by chunking the rows
+        they pass (the transform's column chunks,
+        :func:`repro.core.signature.column_chunks`).
         """
         check_fitted(self, "means_")
         X = self._check_X(X)
-        out = np.empty((X.shape[0], self.n_components))
-        for rows in BatchPlan(X.shape[0], batch_size):
-            log_resp, _ = self._e_step(X[rows], self.weights_, self.means_, self.covariances_)
-            np.exp(log_resp, out=out[rows])
-        return out
+        log_resp, _ = self._e_step(X, self.weights_, self.means_, self.covariances_)
+        return np.exp(log_resp, out=log_resp)
 
-    def predict(self, X: np.ndarray, *, batch_size: int | None = None) -> np.ndarray:
-        """Hard assignment: the component with the highest responsibility.
-
-        ``batch_size`` streams the computation over row chunks (see
-        :meth:`predict_proba`).
-        """
+    def score_samples(self, X: np.ndarray) -> np.ndarray:
+        """Per-sample log marginal likelihood ``log p(x)`` (row-wise, like
+        :meth:`predict_proba`)."""
         check_fitted(self, "means_")
         X = self._check_X(X)
-        out = np.empty(X.shape[0], dtype=np.intp)
-        for rows in BatchPlan(X.shape[0], batch_size):
-            weighted = self._log_weighted_prob(
-                X[rows], self.weights_, self.means_, self.covariances_
-            )
-            out[rows] = np.argmax(weighted, axis=1)
-        return out
+        _, log_norm = self._e_step(X, self.weights_, self.means_, self.covariances_)
+        return log_norm
 
-    def score_samples(self, X: np.ndarray, *, batch_size: int | None = None) -> np.ndarray:
-        """Per-sample log marginal likelihood ``log p(x)``.
-
-        ``batch_size`` streams the computation over row chunks (see
-        :meth:`predict_proba`).
-        """
-        check_fitted(self, "means_")
-        X = self._check_X(X)
-        out = np.empty(X.shape[0])
-        for rows in BatchPlan(X.shape[0], batch_size):
-            _, log_norm = self._e_step(X[rows], self.weights_, self.means_, self.covariances_)
-            out[rows] = log_norm
-        return out
-
-    def score(self, X: np.ndarray, *, batch_size: int | None = None) -> float:
+    def score(self, X: np.ndarray) -> float:
         """Mean per-sample log-likelihood."""
-        return float(np.mean(self.score_samples(X, batch_size=batch_size)))
+        return float(np.mean(self.score_samples(X)))
 
-    def component_pdf(self, X: np.ndarray, *, batch_size: int | None = None) -> np.ndarray:
+    def component_pdf(self, X: np.ndarray) -> np.ndarray:
         """Unweighted per-component densities ``p(x | mu_j, sigma_j^2)`` (Eq. 6).
 
         The paper's signature mechanism ablation compares pooling these raw
-        densities against pooling posteriors; both are exposed.
-        ``batch_size`` streams the computation over row chunks (see
-        :meth:`predict_proba`).
+        densities against pooling posteriors; both are exposed. Row-wise,
+        like :meth:`predict_proba`.
         """
         check_fitted(self, "means_")
         X = self._check_X(X)
-        out = np.empty((X.shape[0], self.n_components))
-        for rows in BatchPlan(X.shape[0], batch_size):
-            np.exp(
-                self._log_gaussian_prob(X[rows], self.means_, self.covariances_),
-                out=out[rows],
-            )
-        return out
-
-    def sample(self, n_samples: int, random_state: RandomState = None) -> np.ndarray:
-        """Draw ``n_samples`` variates from the fitted mixture."""
-        check_fitted(self, "means_")
-        n_samples = check_positive_int(n_samples, "n_samples")
-        rng = check_random_state(random_state)
-        counts = rng.multinomial(n_samples, self.weights_)
-        chunks = []
-        for j, count in enumerate(counts):
-            if count == 0:
-                continue
-            chunks.append(rng.multivariate_normal(self.means_[j], self.covariances_[j], size=count))
-        out = np.vstack(chunks)
-        rng.shuffle(out)
-        return out
+        return np.exp(self._log_gaussian_prob(X, self.means_, self.covariances_))
 
     # ----------------------------------------------------- model selection
 
@@ -761,10 +687,3 @@ class GaussianMixture:
         X = self._check_X(X)
         log_lik = float(np.sum(self.score_samples(X)))
         return -2.0 * log_lik + self._n_parameters() * float(np.log(X.shape[0]))
-
-    def aic(self, X: np.ndarray) -> float:
-        """Akaike Information Criterion on ``X`` (lower is better)."""
-        check_fitted(self, "means_")
-        X = self._check_X(X)
-        log_lik = float(np.sum(self.score_samples(X)))
-        return -2.0 * log_lik + 2.0 * self._n_parameters()

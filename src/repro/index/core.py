@@ -39,7 +39,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.config import _INDEX_BACKENDS as _BACKENDS
 from repro.evaluation.neighbors import unit_rows
 from repro.index.exact import blocked_topk
 from repro.index.ivf import IVFPartition, ivf_topk
@@ -47,6 +46,7 @@ from repro.index.pq import ProductQuantizer, pq_topk
 from repro.utils.rng import RandomState
 from repro.utils.validation import check_array_2d, check_positive_int
 
+_BACKENDS = ("exact", "ivf", "pq")
 _DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 

@@ -105,9 +105,11 @@ class GemService:
         the constructor refuses autoencoder/per-column configurations —
         their embeddings are not comparable across requests).
     index:
-        The index to serve and maintain; ``None`` starts empty. The
-        embedder is (re-)attached, so a warm-started index whose archive
-        fingerprint does not match raises
+        The index to serve and maintain; ``None`` starts an empty
+        ``GemIndex(embedder.embedding_dim)`` with the index's defaults
+        (exact, float64) — pass a ``GemIndex`` to choose any other
+        setting. The embedder is (re-)attached, so a warm-started index
+        whose archive fingerprint does not match raises
         :class:`~repro.index.StaleIndexError`.
     batch_window_ms:
         Upper bound on how long a batch keeps collecting after its first
@@ -186,21 +188,9 @@ class GemService:
                 "comparable. Refit with fit_mode='stacked' and a "
                 "non-autoencoder composition."
             )
-        cfg = embedder.config
         self.embedder = embedder
         if index is None:
-            index = GemIndex(
-                embedder.embedding_dim,
-                backend=cfg.index_backend,
-                block_size=cfg.index_block_size,
-                n_lists=cfg.index_n_lists,
-                n_probe=cfg.index_n_probe,
-                dtype=cfg.index_dtype,
-                pq_subvectors=cfg.index_pq_subvectors,
-                pq_codes=cfg.index_pq_codes,
-                pq_rerank=cfg.index_pq_rerank,
-                random_state=cfg.random_state,
-            )
+            index = GemIndex(embedder.embedding_dim)
         index.attach(embedder)  # fingerprint-checked warm start
         Deadline.after_ms(deadline_ms)  # validate (finite, > 0) up front
         self._deadline_s = deadline_ms / 1e3  # pre-validated offset

@@ -19,6 +19,9 @@ from repro.bundle import (
     verify_bundle,
 )
 from repro.bundle.__main__ import main
+from repro.bundle.sweep import _index_recall_objective
+from repro.core import GemEmbedder
+from repro.index import load_index
 
 # One small fitted+indexed bundle is built once (module scope) and copied
 # for every destructive test; keeps the suite fast.
@@ -162,6 +165,12 @@ class TestUsageErrors:
     def test_bad_grid_exits_2(self, bundle):
         assert main(["sweep", str(bundle), "--grid", "not_a_field=1,2"]) == 2
 
+    def test_index_settings_pass_through_and_backend_given_twice_exits_2(self, bundle):
+        assert main(["index", str(bundle), "--backend", "ivf", "--set", "n_probe=4"]) == 0
+        index = load_index(bundle / "index.npz")
+        assert (index.backend, index.n_probe) == ("ivf", 4)
+        assert main(["index", str(bundle), "--backend", "ivf", "--set", "backend=pq"]) == 2
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
@@ -243,6 +252,46 @@ class TestSweep:
         document = json.loads((bundle / "sweep.json").read_text())
         assert len(document["failed"]) == 1
         assert document["table"] == []
+
+    INDEX_GRID = [
+        "--grid",
+        "backend=exact,ivf",
+        "--grid",
+        "n_probe=1,4",
+        "--objective",
+        "index_recall_at_k",
+        "--seed",
+        "3",
+    ]
+
+    def test_index_sweep_ranks_exact_first_and_is_byte_identical(self, bundle, tmp_path):
+        other = tmp_path / "again.bundle"
+        shutil.copytree(bundle, other)
+        assert main(["sweep", str(bundle)] + self.INDEX_GRID + ["--workers", "1"]) == 0
+        assert main(["sweep", str(other)] + self.INDEX_GRID + ["--workers", "3"]) == 0
+        assert (bundle / "sweep.json").read_bytes() == (other / "sweep.json").read_bytes()
+        document = json.loads((bundle / "sweep.json").read_text())
+        assert document["n_trials"] == 4 and document["failed"] == []
+        top = document["table"][0]
+        assert top["params"]["backend"] == "exact" and top["value"] == 1.0
+
+    @pytest.mark.parametrize("grid", ["n_probe=1,2", "index_n_probe=1"])
+    def test_index_grid_keys_need_the_index_objective(self, bundle, grid):
+        # GemIndex arguments only mean something to index_recall_at_k, and
+        # the retired GemConfig spelling is no key at all.
+        assert main(["sweep", str(bundle), "--grid", grid]) == 2
+
+    def test_index_recall_oracle_is_exact_float64(self):
+        # Rows at angles (40 - i) * 2e-5 rad from row 0: the nearest
+        # neighbours carry the highest ids, and float32 storage ties them
+        # across the top-k boundary, so a float32 trial must lose recall
+        # against the float64 oracle (a float32 oracle would score 1.0).
+        theta = np.array([0.0] + [(40 - i) * 2e-5 for i in range(1, 40)])
+        X = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(40)])
+        gem = GemEmbedder()
+        assert _index_recall_objective(gem, None, X, None, backend="exact") == 1.0
+        float32 = _index_recall_objective(gem, None, X, None, backend="exact", dtype="float32")
+        assert float32 < 1.0
 
     def test_unknown_objective_exits_2(self, bundle):
         assert main(["sweep", str(bundle)] + self.GRID

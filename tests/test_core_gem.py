@@ -7,6 +7,7 @@ from repro.core import GemConfig, GemEmbedder
 from repro.core.gem import log_squash
 from repro.data.table import ColumnCorpus, NumericColumn
 from repro.evaluation import average_precision_at_k
+from repro.index import GemIndex
 from repro.serve import GemService
 
 FAST = dict(n_components=8, n_init=1, max_iter=60)
@@ -16,6 +17,12 @@ SERVE_ARGS = {
     "serve_batch_window_ms": "batch_window_ms",
     "serve_max_batch": "max_batch",
     "serve_max_workers": "max_workers",
+}
+# Retired GemConfig index fields and the GemIndex arguments that replaced them.
+INDEX_ARGS = {
+    "index_n_probe": "n_probe",
+    "index_backend": "backend",
+    "index_dtype": "dtype",
 }
 
 
@@ -78,6 +85,9 @@ class TestConfig:
             ("serve_batch_window_ms", -0.5),
             ("serve_max_batch", 0),
             ("serve_max_workers", 0),
+            ("index_n_probe", 0),
+            ("index_backend", "hnsw"),
+            ("index_dtype", "float16"),
         ],
     )
     def test_invalid_fields_rejected(self, field, value, fitted):
@@ -88,13 +98,15 @@ class TestConfig:
                 GemConfig(**{field: value})
             with pytest.raises(ValueError):
                 GemService(fitted, **{SERVE_ARGS[field]: value})
+        elif field in INDEX_ARGS:
+            # Likewise index settings: GemIndex validates its own arguments.
+            with pytest.raises(TypeError):
+                GemConfig(**{field: value})
+            with pytest.raises(ValueError):
+                GemIndex(fitted.embedding_dim, **{INDEX_ARGS[field]: value})
         else:
             with pytest.raises(ValueError):
                 GemConfig(**{field: value})
-
-    def test_with_features(self):
-        cfg = GemConfig().with_features(contextual=True, statistical=False)
-        assert cfg.use_contextual and not cfg.use_statistical and cfg.use_distributional
 
 
 class TestFitTransform:

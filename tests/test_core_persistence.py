@@ -160,9 +160,10 @@ class TestBatchingFieldsRoundtrip:
         assert restored.gmm_.init == cfg.gmm_init
 
     def test_retired_serve_keys_load_silently(self):
-        # Archives and manifests written while serving policy and the
-        # fit-engine switch lived on GemConfig carry these keys; they load
-        # without a warning, while any other unknown key still warns.
+        # Archives and manifests written while serving policy, index
+        # settings and the fit-engine switch lived on GemConfig carry these
+        # keys; they load without a warning, while any other unknown key
+        # still warns.
         retired = dict(
             fit_engine="serial",
             serve_batch_window_ms=7.5,
@@ -172,6 +173,14 @@ class TestBatchingFieldsRoundtrip:
             serve_max_pending=256,
             serve_degrade_pending=64,
             serve_degrade_latency_ms=None,
+            index_backend="ivf",
+            index_block_size=512,
+            index_n_lists=16,
+            index_n_probe=4,
+            index_dtype="float32",
+            index_pq_subvectors=4,
+            index_pq_codes=64,
+            index_pq_rerank=20,
         )
         cfg_dict = {**FAST.to_manifest_dict(), **retired}
         with warnings.catch_warnings():

@@ -135,6 +135,15 @@ class TestFitPlan:
         starts = [s.start for s in plan]
         assert all(start % FitPlan.REDUCE_BLOCK == 0 for start in starts)
 
+    def test_slices_cover_range_in_order(self):
+        slices = list(FitPlan(100_000, 3000))
+        assert slices[0].start == 0 and slices[-1].stop == 100_000
+        assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+
+    def test_exact_multiple(self):
+        block = FitPlan.REDUCE_BLOCK
+        assert [s.stop - s.start for s in FitPlan(3 * block, block)] == [block] * 3
+
     def test_none_resolves_to_default_batch(self):
         assert FitPlan(100_000, None).effective_batch_size == FitPlan.DEFAULT_BATCH
 
@@ -147,9 +156,24 @@ class TestFitPlan:
     def test_oversized_batch_covers_corpus_in_one_chunk(self):
         assert list(FitPlan(5000, 10**9)) == [slice(0, 5000)]
 
+    def test_oversized_batch_clamped(self):
+        assert FitPlan(5000, 10**9).effective_batch_size == 5000
+
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):
             FitPlan(10, 0)
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_nonpositive_batch_size_rejected(self, bad):
+        with pytest.raises(ValueError, match="batch_size"):
+            FitPlan(10, bad)
+
+    def test_empty_plan(self):
+        assert list(FitPlan(0, 4)) == []
+
+    def test_negative_n_samples_rejected(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            FitPlan(-1)
 
 
 def _restart_by_restart(x, m, n_init, init, random_state):
@@ -193,12 +217,10 @@ class TestEngineEquivalence:
             "fit",
             "fit_from",
             "predict_proba",
-            "predict",
             "score_samples",
             "score",
             "component_pdf",
             "bic",
-            "aic",
         ],
     )
     def test_rejects_multivariate(self, trimodal, method):

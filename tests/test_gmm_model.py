@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gmm import BatchPlan, GaussianMixture, select_n_components_bic
+from repro.gmm import GaussianMixture, select_n_components_bic
 
 
 @pytest.fixture
@@ -87,14 +87,9 @@ class TestInference:
         assert np.allclose(resp.sum(axis=1), 1.0)
         assert np.all((resp >= 0) & (resp <= 1))
 
-    def test_predict_matches_argmax_proba(self, bimodal):
-        gm = GaussianMixture(3, random_state=0).fit(bimodal)
-        X = bimodal.reshape(-1, 1)
-        assert np.array_equal(gm.predict(X), np.argmax(gm.predict_proba(X), axis=1))
-
     def test_hard_assignment_separates_modes(self, bimodal):
         gm = GaussianMixture(2, n_init=3, random_state=0).fit(bimodal)
-        labels = gm.predict(bimodal.reshape(-1, 1))
+        labels = np.argmax(gm.predict_proba(bimodal.reshape(-1, 1)), axis=1)
         low = labels[bimodal < 5]
         high = labels[bimodal > 5]
         assert len(np.unique(low)) == 1 and len(np.unique(high)) == 1
@@ -117,70 +112,39 @@ class TestInference:
         with pytest.raises(RuntimeError, match="not fitted"):
             GaussianMixture(2).predict_proba(np.zeros((2, 1)))
 
-    def test_sample_roundtrip_moments(self, bimodal):
-        gm = GaussianMixture(2, n_init=2, random_state=0).fit(bimodal)
-        draws = gm.sample(20_000, random_state=1)
-        assert abs(draws.mean() - bimodal.mean()) < 0.3
-
-
-class TestBatchPlan:
-    def test_slices_cover_range_in_order(self):
-        plan = BatchPlan(10, 3)
-        slices = list(plan)
-        assert slices == [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 10)]
-        assert plan.n_batches == len(plan) == 4
-
-    def test_none_batch_size_is_single_slice(self):
-        assert list(BatchPlan(1000, None)) == [slice(0, 1000)]
-        assert BatchPlan(1000, None).n_batches == 1
-
-    def test_oversized_batch_clamped(self):
-        assert list(BatchPlan(5, 100)) == [slice(0, 5)]
-
-    def test_empty_plan(self):
-        assert list(BatchPlan(0, 4)) == []
-        assert BatchPlan(0, 4).n_batches == 0
-
-    def test_exact_multiple(self):
-        assert [s.stop - s.start for s in BatchPlan(12, 4)] == [4, 4, 4]
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_invalid_batch_size_rejected(self, bad):
-        with pytest.raises(ValueError, match="batch_size"):
-            BatchPlan(10, bad)
-
-    def test_negative_n_samples_rejected(self):
-        with pytest.raises(ValueError, match="n_samples"):
-            BatchPlan(-1)
-
 
 class TestChunkedInference:
+    """Inference is row-wise: scoring a slice of the rows equals slicing the
+    scores of all rows, bit for bit. The transform's column chunks
+    (``repro.core.signature.column_chunks``) rely on it to bound memory."""
+
     @pytest.fixture(scope="class")
     def fitted(self):
         rng = np.random.default_rng(7)
         stack = np.concatenate([rng.normal(0, 1, 400), rng.normal(12, 2, 300)])
         return GaussianMixture(3, n_init=2, random_state=0).fit(stack), stack.reshape(-1, 1)
 
+    @staticmethod
+    def assert_slices_match(score, X, batch_size):
+        full = score(X)
+        for start in range(0, X.shape[0], batch_size):
+            rows = slice(start, start + batch_size)
+            assert np.array_equal(score(X[rows]), full[rows])
+
     @pytest.mark.parametrize("batch_size", [1, 7, 64, 699, 700, 10_000])
     def test_predict_proba_chunked_identical(self, fitted, batch_size):
         gm, X = fitted
-        assert np.array_equal(gm.predict_proba(X, batch_size=batch_size), gm.predict_proba(X))
+        self.assert_slices_match(gm.predict_proba, X, batch_size)
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64, 10_000])
     def test_score_samples_chunked_identical(self, fitted, batch_size):
         gm, X = fitted
-        assert np.array_equal(gm.score_samples(X, batch_size=batch_size), gm.score_samples(X))
+        self.assert_slices_match(gm.score_samples, X, batch_size)
 
     @pytest.mark.parametrize("batch_size", [1, 7, 64, 10_000])
     def test_component_pdf_chunked_identical(self, fitted, batch_size):
         gm, X = fitted
-        assert np.array_equal(gm.component_pdf(X, batch_size=batch_size), gm.component_pdf(X))
-
-    @pytest.mark.parametrize("batch_size", [1, 7, 10_000])
-    def test_predict_and_score_chunked_identical(self, fitted, batch_size):
-        gm, X = fitted
-        assert np.array_equal(gm.predict(X, batch_size=batch_size), gm.predict(X))
-        assert gm.score(X, batch_size=batch_size) == gm.score(X)
+        self.assert_slices_match(gm.component_pdf, X, batch_size)
 
 
 class TestExtremeOutliers:
@@ -224,12 +188,6 @@ class TestModelSelection:
         report = select_n_components_bic(bimodal, candidates=(1, 2, 6), n_init=2, random_state=0)
         assert report.best == 2
         assert report.scores[2] < report.scores[1]
-
-    def test_aic_less_than_bic_for_large_n(self, bimodal):
-        gm = GaussianMixture(2, random_state=0).fit(bimodal)
-        X = bimodal.reshape(-1, 1)
-        # BIC penalises harder than AIC once log(n) > 2.
-        assert gm.bic(X) > gm.aic(X)
 
     def test_infeasible_candidates_skipped(self):
         X = np.arange(8.0)

@@ -1042,6 +1042,20 @@ class TestEmbedderIntegration:
         result = index.search(emb, 4, exclude_ids=list(index.ids))
         assert np.array_equal(result.positions, dense_top)
 
+    def test_build_index_passes_index_arguments_through(self, fitted):
+        corpus, _, _ = fitted
+        gem = GemEmbedder(**{**FAST, "random_state": 5}).fit(corpus)
+        index = gem.build_index(corpus, backend="ivf", n_probe=3)
+        assert (index.backend, index.n_probe) == ("ivf", 3)
+        # The quantizer is seeded from the config's random_state (5), not
+        # from GemIndex's default seed (0).
+        emb = gem.transform(corpus)
+        top = index.search(emb, 5).positions
+        for seed, same in ((5, True), (0, False)):
+            ref = GemIndex(emb.shape[1], backend="ivf", n_probe=3, random_state=seed)
+            ref.add(list(index.ids), emb)
+            assert np.array_equal(ref.search(emb, 5).positions, top) is same
+
     def test_unfitted_embedder_rejected(self):
         gem = GemEmbedder(**FAST)
         with pytest.raises(RuntimeError, match="not fitted"):
