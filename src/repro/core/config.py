@@ -27,10 +27,13 @@ _VALUE_TRANSFORMS = ("none", "log_squash", "standardize")
 _COMPOSITIONS = ("concatenation", "aggregation", "autoencoder")
 # Keys that archives and manifests written by older versions still carry
 # (the serving policy that moved to GemService, the index settings that
-# moved to GemIndex, and the removed fit-engine switch); none is part of
-# the model fingerprint, so they are dropped on read without a warning.
+# moved to GemIndex, the removed fit-engine switch, warm-started BIC sweep
+# and per-column thread count, and the fit chunk size, now only a
+# GaussianMixture argument); none is part of the model fingerprint, so
+# they are dropped on read without a warning.
 _RETIRED_KEYS = frozenset(
     {
+        "fit_batch_size",
         "fit_engine",
         "index_backend",
         "index_block_size",
@@ -40,6 +43,7 @@ _RETIRED_KEYS = frozenset(
         "index_pq_subvectors",
         "index_pq_codes",
         "index_pq_rerank",
+        "n_workers",
         "serve_batch_window_ms",
         "serve_max_batch",
         "serve_max_workers",
@@ -47,6 +51,7 @@ _RETIRED_KEYS = frozenset(
         "serve_max_pending",
         "serve_degrade_pending",
         "serve_degrade_latency_ms",
+        "warm_start_bic",
     }
 )
 
@@ -62,32 +67,15 @@ class GemConfig:
     auto_components:
         Select ``m`` by BIC over ``bic_candidates`` at fit time instead —
         "we determine each dataset's optimal number of components using the
-        Bayesian Information Criterion" (§4.1.4). The selection runs on a
-        subsample of the stack for speed; ``n_components`` then serves only
+        Bayesian Information Criterion" (§4.1.4). Every candidate is fitted
+        from scratch on the same subsample of at most 10k stacked values
+        (see :mod:`repro.gmm.selection`); ``n_components`` then serves only
         as the fallback if no candidate is feasible.
     bic_candidates:
-        Component counts evaluated when ``auto_components`` is on.
-    warm_start_bic:
-        Run the BIC sweep warm-started: only the smallest candidate is
-        fitted from scratch; every larger candidate starts from that
-        converged mixture grown by splitting its heaviest components (see
-        :mod:`repro.gmm.selection`) and is refined by a single EM run,
-        fanning out over ``n_workers``. Dramatically cheaper for wide
-        sweeps; BIC scores differ slightly from cold refits, so leave off
-        when reproducing the paper's sweep exactly.
+        Component counts evaluated when ``auto_components`` is on; each
+        must be >= 1.
     tol / n_init / max_iter / covariance_floor:
         EM parameters (§3.1, §4.1.4).
-    fit_batch_size:
-        Distinct values per E-step chunk while *fitting* the shared GMM:
-        EM runs over the distinct stacked values, each weighted by its
-        multiplicity, so fit cost scales with distinct values × restarts ×
-        components × iterations. ``None`` uses the engine default (2048).
-        Beyond the input stack itself, the O(n) distinct-value and count
-        arrays and transient O(n) seeding scratch such as the quantile
-        sort, fit-time peak memory is
-        ``O(fit_batch_size * n_init * n_components)`` floats no matter how
-        many values are stacked, and every batch size yields bit-identical
-        parameters (reductions run on a fixed block grid).
     gmm_init:
         EM initialisation: ``"quantile"`` (default — density-proportional
         component seeding, essential on heavy-tailed raw value stacks),
@@ -120,10 +108,6 @@ class GemConfig:
         Memoise pooled signature rows by column content hash, so columns
         repeated within a corpus or across ``transform`` calls are scored
         once (``fit_mode="stacked"`` only; the cache is cleared on refit).
-    n_workers:
-        Worker threads for the ``fit_mode="per_column"`` ablation, which
-        fits one small mixture per column; 1 keeps the serial path. Results
-        are identical for any worker count.
     value_transform:
         Optional transform applied to values before GMM fitting: ``"none"``
         (paper), ``"log_squash"`` (sign(x)·log1p|x|, as Squashing_* use), or
@@ -152,12 +136,10 @@ class GemConfig:
     n_components: int = 50
     auto_components: bool = False
     bic_candidates: tuple[int, ...] = (5, 10, 20, 50, 100)
-    warm_start_bic: bool = False
     tol: float = 1e-3
     n_init: int = 10
     max_iter: int = 200
     covariance_floor: float = 1e-6
-    fit_batch_size: int | None = None
     gmm_init: str = "quantile"
     feature_clip: float = 3.0
     use_distributional: bool = True
@@ -168,7 +150,6 @@ class GemConfig:
     fit_mode: str = "stacked"
     batch_size: int | None = None
     cache_signatures: bool = True
-    n_workers: int = 1
     value_transform: str = "none"
     composition: str = "concatenation"
     balance_blocks: bool = True
@@ -182,17 +163,18 @@ class GemConfig:
             raise ValueError(f"n_components must be >= 1, got {self.n_components}")
         if self.n_init < 1:
             raise ValueError(f"n_init must be >= 1, got {self.n_init}")
-        if self.tol <= 0:
+        # `not x > 0` rather than `x <= 0`, so NaN is refused too.
+        if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.auto_components and not self.bic_candidates:
             raise ValueError("auto_components requires non-empty bic_candidates")
+        if not all(m >= 1 for m in self.bic_candidates):
+            raise ValueError(f"bic_candidates must all be >= 1, got {self.bic_candidates}")
         if self.gmm_init not in ("quantile", "kmeans", "random"):
             raise ValueError(
                 f"gmm_init must be 'quantile', 'kmeans' or 'random', got {self.gmm_init!r}"
             )
-        if self.fit_batch_size is not None and self.fit_batch_size < 1:
-            raise ValueError(f"fit_batch_size must be None or >= 1, got {self.fit_batch_size}")
-        if self.feature_clip <= 0:
+        if not self.feature_clip > 0:
             raise ValueError(f"feature_clip must be > 0, got {self.feature_clip}")
         if self.signature_kind not in _SIGNATURE_KINDS:
             raise ValueError(
@@ -206,8 +188,6 @@ class GemConfig:
             raise ValueError(f"fit_mode must be one of {_FIT_MODES}, got {self.fit_mode!r}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be None or >= 1, got {self.batch_size}")
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         if self.value_transform not in _VALUE_TRANSFORMS:
             raise ValueError(
                 f"value_transform must be one of {_VALUE_TRANSFORMS}, got {self.value_transform!r}"
@@ -253,8 +233,9 @@ class GemConfig:
         noticed — and missing ones fall back to the dataclass defaults.
         Retired keys — the ``serve_*`` serving policy (now
         :class:`~repro.serve.GemService` arguments), the ``index_*``
-        settings (now :class:`~repro.index.GemIndex` arguments) and the old
-        fit-engine switch — are dropped silently.
+        settings (now :class:`~repro.index.GemIndex` arguments) and the
+        removed fit-engine, warm-start, thread-count and fit-chunk
+        switches — are dropped silently.
         Field values are re-validated by ``__post_init__``, so a
         hand-edited manifest cannot smuggle in an invalid configuration.
         """

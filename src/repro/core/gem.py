@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -112,7 +111,6 @@ class GemEmbedder:
         self.config = cfg
         self._header_embedder = HashingTextEmbedder(dim=cfg.header_dim)
         self.gmm_: GaussianMixture | None = None
-        self.bic_scores_: dict[int, float] | None = None
         self.selection_report_: SelectionReport | None = None
         self._transform_stats: tuple[float, float] | None = None
         self._feature_mean: np.ndarray | None = None
@@ -140,6 +138,8 @@ class GemEmbedder:
         if self._signature_cache is not None:
             # A refit changes the mixture, so every memoised row is stale.
             self._signature_cache.clear()
+        # Likewise a previous fit's sweep: this fit may run none.
+        self.selection_report_ = None
         stacked = corpus.stacked_values()
         stacked = self._fit_value_transform(stacked)
         n_components = cfg.n_components
@@ -161,7 +161,6 @@ class GemEmbedder:
                 max_iter=cfg.max_iter,
                 reg_covar=cfg.covariance_floor,
                 init=cfg.gmm_init,
-                fit_batch_size=cfg.fit_batch_size,
                 random_state=cfg.random_state,
             ).fit(stacked.reshape(-1, 1))
         else:
@@ -223,32 +222,26 @@ class GemEmbedder:
 
         Runs on a 10k-value subsample: BIC rankings on stacked 1-D value
         data stabilise well below that, and the full fit follows anyway.
-        The sweep seeds with the same ``gmm_init`` strategy as the final
-        fit, warm-starts larger candidates when ``warm_start_bic`` is on,
-        and fans independent candidates out over ``n_workers``.
+        Every candidate scores against that one subsample and seeds with
+        the same ``gmm_init`` strategy as the final fit.
         """
         cfg = self.config
         sample = stacked
         if sample.size > 10_000:
             rng = check_random_state(cfg.random_state)
             sample = rng.choice(sample, size=10_000, replace=False)
-        try:
-            report = select_n_components_bic(
-                sample,
-                candidates=cfg.bic_candidates,
-                n_init=1,
-                max_iter=min(cfg.max_iter, 100),
-                init=cfg.gmm_init,
-                warm_start=cfg.warm_start_bic,
-                n_workers=cfg.n_workers,
-                fit_batch_size=cfg.fit_batch_size,
-                random_state=cfg.random_state,
-            )
-        except ValueError:
+        if min(cfg.bic_candidates) > sample.size:
+            # No candidate is feasible: fall back to n_components, unswept.
             return cfg.n_components
-        self.bic_scores_ = report.scores
-        self.selection_report_ = report
-        return report.best
+        self.selection_report_ = select_n_components_bic(
+            sample,
+            candidates=cfg.bic_candidates,
+            n_init=1,
+            max_iter=min(cfg.max_iter, 100),
+            init=cfg.gmm_init,
+            random_state=cfg.random_state,
+        )
+        return self.selection_report_.best
 
     def _fit_value_transform(self, stacked: np.ndarray) -> np.ndarray:
         transform = self.config.value_transform
@@ -403,28 +396,16 @@ class GemEmbedder:
     def _per_column_parameters(self, values: list[np.ndarray]) -> np.ndarray:
         """Per-column GMM parameter embedding (the ``fit_mode='per_column'``
         ablation): sorted (weight, mean, std) triplets of a small mixture
-        fitted to each column alone. Column fits are independent, so
-        ``config.n_workers`` threads fan them out without changing the
-        result."""
+        fitted to each column alone."""
         cfg = self.config
         k = min(5, cfg.n_components)
         if isinstance(cfg.random_state, np.random.Generator):
-            # A shared Generator is stateful: drawing from it inside worker
-            # threads would make seeds depend on thread scheduling (and race
-            # on the generator). Pre-draw one seed per column serially so the
-            # threaded and serial paths see the same seeds.
+            # Draw one seed per column up front, so a column's seed depends on
+            # its position, not on how much randomness earlier fits consumed.
             states: list[RandomState] = list(spawn_seeds(cfg.random_state, len(values)))
         else:
             states = [cfg.random_state] * len(values)
-        n_workers = min(cfg.n_workers, len(values))
-        if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                rows = list(
-                    pool.map(lambda args: self._fit_column_mixture(*args, k), zip(values, states))
-                )
-        else:
-            rows = [self._fit_column_mixture(v, s, k) for v, s in zip(values, states)]
-        return np.stack(rows)
+        return np.stack([self._fit_column_mixture(v, s, k) for v, s in zip(values, states)])
 
     def _fit_column_mixture(self, v: np.ndarray, random_state: RandomState, k: int) -> np.ndarray:
         """One column's sorted (weight, mean, std) parameter row."""
@@ -437,7 +418,6 @@ class GemEmbedder:
             max_iter=cfg.max_iter,
             reg_covar=cfg.covariance_floor,
             init=cfg.gmm_init,
-            fit_batch_size=cfg.fit_batch_size,
             random_state=random_state,
         ).fit(v.reshape(-1, 1))
         # Stable so components with exactly equal means (degenerate fits on

@@ -5,13 +5,13 @@ parameters + feature standardisation + frozen balance statistics +
 config); deployments fit once over a data lake and embed new columns
 later. ``save_gem`` / ``load_gem`` round-trip everything through a single
 ``.npz`` archive (config as embedded JSON, arrays natively). The
-transform-engine knobs (``batch_size``, ``cache_signatures``,
-``n_workers``) and the fit knobs (``fit_batch_size``, ``warm_start_bic``)
-travel with the config, so a reloaded embedder refits with the same memory
-profile; the signature cache itself is transient and starts empty on
-load. ``load_gem`` refuses an archive without a content checksum
-(:exc:`CorruptArchiveError`) and a stacked-mode archive without the frozen
-balance statistics its config needs (:exc:`ValueError`).
+transform-engine knobs (``batch_size``, ``cache_signatures``) and the EM
+settings travel with the config, so a reloaded embedder transforms with
+the same memory profile and refits the same way; the signature cache
+itself is transient and starts empty on load. ``load_gem`` refuses an
+archive without a content checksum (:exc:`CorruptArchiveError`) and a
+stacked-mode archive without the frozen balance statistics its config
+needs (:exc:`ValueError`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.core.gem import GemEmbedder, _balance_structure
 from repro.gmm.model import GaussianMixture
 
 # Config fields that change what a fitted embedder outputs at transform
-# time. Engine/fit-time knobs (batch_size, fit_batch_size, n_init, …) are
+# time. Engine/fit-time knobs (batch_size, cache_signatures, n_init, …) are
 # deliberately absent: they shape *how* the frozen parameters below were
 # obtained or are applied, not the embedding space itself, so two embedders
 # differing only in those serve interchangeable rows. Exception: under
@@ -405,7 +405,6 @@ def load_gem(path: str | Path) -> GemEmbedder:
             max_iter=config.max_iter,
             reg_covar=config.covariance_floor,
             init=config.gmm_init,
-            fit_batch_size=config.fit_batch_size,
             random_state=config.random_state,
         )
         gmm.weights_ = payload["gmm_weights"]

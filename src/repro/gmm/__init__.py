@@ -14,19 +14,20 @@ fully-tested implementation:
   row-wise, so the transform bounds its memory by scoring column-aligned
   chunks (:func:`repro.core.signature.column_chunks`);
 * :class:`~repro.gmm.model.FitPlan` — the block-aligned chunking plan of
-  the streaming fit engine (``fit_batch_size``) over the distinct stacked
-  values, whose reductions make chunked and unchunked fits bit-identical;
+  the streaming fit engine (``GaussianMixture(fit_batch_size=...)``) over
+  the distinct stacked values, whose reductions make chunked and unchunked
+  fits bit-identical;
 * :func:`~repro.gmm.kmeans.seed_restarts_1d` — restart-batched 1-D seeding
   of the fit engine;
 * :func:`~repro.gmm.selection.select_n_components_bic` — the BIC sweep the
-  paper uses to argue component-count robustness (§4.1.4, Figure 4), now a
-  warm-started parallel sweep returning a
+  paper uses to argue component-count robustness (§4.1.4, Figure 4): one
+  cold fit per candidate, returning a
   :class:`~repro.gmm.selection.SelectionReport`.
 """
 
 from repro.gmm.kmeans import KMeans, kmeans_plus_plus_init, seed_restarts_1d
 from repro.gmm.model import FitPlan, GaussianMixture
-from repro.gmm.selection import SelectionReport, select_n_components_bic, split_components
+from repro.gmm.selection import SelectionReport, select_n_components_bic
 
 __all__ = [
     "KMeans",
@@ -36,5 +37,4 @@ __all__ = [
     "GaussianMixture",
     "SelectionReport",
     "select_n_components_bic",
-    "split_components",
 ]

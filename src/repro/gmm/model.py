@@ -394,8 +394,8 @@ class GaussianMixture:
     """One-dimensional Gaussian mixture estimated by EM.
 
     The surface follows scikit-learn's estimator: input is a 1-D array or
-    an ``(n_samples, 1)`` matrix, and ``fit``, ``fit_from`` and every
-    inference method raise :exc:`ValueError` on any other feature count.
+    an ``(n_samples, 1)`` matrix, and ``fit`` and every inference method
+    raise :exc:`ValueError` on any other feature count.
 
     Parameters
     ----------
@@ -519,9 +519,16 @@ class GaussianMixture:
             seed_batch = FitPlan(x.size, self.fit_batch_size).effective_batch_size
             centers = seed_restarts_1d(x, m, seeds, self.init, batch_size=seed_batch)
             w0, mu0, var0 = em.initial_from_centers(centers)
-        result = em.run(w0, mu0, var0)
+        weights, means, variances, bounds, n_iters, converged = em.run(w0, mu0, var0)
         # The first of equally good restarts wins.
-        return self._adopt(result, int(np.argmax(result[3])))
+        r = int(np.argmax(bounds))
+        self.weights_ = weights[r]
+        self.means_ = means[r].reshape(-1, 1)
+        self.covariances_ = variances[r].reshape(-1, 1, 1)
+        self.lower_bound_ = float(bounds[r])
+        self.n_iter_ = int(n_iters[r])
+        self.converged_ = bool(converged[r])
+        return self
 
     def _engine(self, x: np.ndarray) -> _BatchedEM:
         """The streaming EM over ``x``'s distinct values."""
@@ -533,52 +540,6 @@ class GaussianMixture:
             reg_covar=self.reg_covar,
             batch_size=self.fit_batch_size,
         )
-
-    def _adopt(self, result: tuple[np.ndarray, ...], r: int) -> "GaussianMixture":
-        """Take restart ``r`` of a :meth:`_BatchedEM.run` result as the model."""
-        weights, means, variances, bounds, n_iters, converged = result
-        self.weights_ = weights[r]
-        self.means_ = means[r].reshape(-1, 1)
-        self.covariances_ = variances[r].reshape(-1, 1, 1)
-        self.lower_bound_ = float(bounds[r])
-        self.n_iter_ = int(n_iters[r])
-        self.converged_ = bool(converged[r])
-        return self
-
-    def fit_from(
-        self,
-        X: np.ndarray,
-        weights: np.ndarray,
-        means: np.ndarray,
-        covariances: np.ndarray,
-    ) -> "GaussianMixture":
-        """Warm-start: run EM from explicit parameters (single run, no seeding).
-
-        The warm-started BIC sweep uses this to refine split parameters from
-        a smaller converged mixture. Parameters use the fitted-attribute
-        shapes (``means`` may also be ``(n_components,)``) and must match
-        ``n_components``.
-        """
-        x = self._check_X(X)[:, 0]
-        m = self.n_components
-        if x.size < m:
-            raise ValueError(f"n_samples={x.size} must be >= n_components={m}")
-        weights = np.asarray(weights, dtype=np.float64).ravel()
-        means = np.asarray(means, dtype=np.float64)
-        covariances = np.asarray(covariances, dtype=np.float64)
-        if means.ndim == 1:
-            means = means.reshape(-1, 1)
-        if weights.shape[0] != m or means.shape != (m, 1):
-            raise ValueError(
-                f"warm-start parameters must have n_components={m} rows and "
-                f"1 feature column; got weights {weights.shape}, means {means.shape}"
-            )
-        if covariances.shape != (m, 1, 1):
-            raise ValueError(f"covariances must have shape ({m}, 1, 1), got {covariances.shape}")
-        result = self._engine(x).run(
-            weights[None].copy(), means[:, 0][None].copy(), covariances[:, 0, 0][None].copy()
-        )
-        return self._adopt(result, 0)
 
     # ------------------------------------------------------------ EM pieces
 
@@ -658,10 +619,6 @@ class GaussianMixture:
         X = self._check_X(X)
         _, log_norm = self._e_step(X, self.weights_, self.means_, self.covariances_)
         return log_norm
-
-    def score(self, X: np.ndarray) -> float:
-        """Mean per-sample log-likelihood."""
-        return float(np.mean(self.score_samples(X)))
 
     def component_pdf(self, X: np.ndarray) -> np.ndarray:
         """Unweighted per-component densities ``p(x | mu_j, sigma_j^2)`` (Eq. 6).

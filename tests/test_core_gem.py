@@ -24,6 +24,8 @@ INDEX_ARGS = {
     "index_backend": "backend",
     "index_dtype": "dtype",
 }
+# Retired GemConfig fields that nothing replaced.
+RETIRED_FIELDS = {"n_workers"}
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +73,8 @@ class TestConfig:
             ("n_components", 0),
             ("n_init", 0),
             ("tol", 0.0),
+            ("tol", float("nan")),
+            pytest.param("bic_candidates", (0, 5), id="bic_candidates-(0, 5)"),
             ("signature_kind", "wrong"),
             ("normalization", "max"),
             ("fit_mode", "global"),
@@ -79,6 +83,7 @@ class TestConfig:
             ("composition", "sum"),
             ("gmm_init", "pca"),
             ("feature_clip", 0.0),
+            ("feature_clip", float("nan")),
             ("batch_size", 0),
             ("batch_size", -5),
             ("n_workers", 0),
@@ -104,6 +109,9 @@ class TestConfig:
                 GemConfig(**{field: value})
             with pytest.raises(ValueError):
                 GemIndex(fitted.embedding_dim, **{INDEX_ARGS[field]: value})
+        elif field in RETIRED_FIELDS:
+            with pytest.raises(TypeError):
+                GemConfig(**{field: value})
         else:
             with pytest.raises(ValueError):
                 GemConfig(**{field: value})
@@ -249,33 +257,18 @@ class TestBatchedTransform:
         assert fitted.embedding_dim == 8 + len(STATISTICAL_FEATURE_NAMES)
 
 
-class TestPerColumnWorkers:
-    def test_workers_do_not_change_result(self, tiny_corpus_module):
-        serial = GemEmbedder(
-            config=GemConfig.fast(n_components=4, fit_mode="per_column", n_init=1)
-        ).fit_transform(tiny_corpus_module)
-        threaded = GemEmbedder(
-            config=GemConfig.fast(n_components=4, fit_mode="per_column", n_init=1, n_workers=4)
-        ).fit_transform(tiny_corpus_module)
-        assert np.allclose(threaded, serial)
-
-    def test_generator_random_state_deterministic_across_workers(self, tiny_corpus_module):
-        # A shared Generator must not make threaded fits depend on thread
-        # scheduling: seeds are pre-drawn serially, so any worker count
-        # (and repeated runs) agree.
-        def run(n_workers):
+class TestPerColumnSeeding:
+    def test_equally_seeded_generators_give_equal_rows(self, tiny_corpus_module):
+        def run():
             cfg = GemConfig.fast(
                 n_components=4,
                 fit_mode="per_column",
                 n_init=1,
-                n_workers=n_workers,
                 random_state=np.random.default_rng(0),
             )
             return GemEmbedder(config=cfg).fit_transform(tiny_corpus_module)
 
-        serial = run(1)
-        assert np.allclose(run(4), serial)
-        assert np.allclose(run(4), serial)
+        assert np.array_equal(run(), run())
 
 
 class TestPerColumnCluster:

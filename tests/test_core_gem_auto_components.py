@@ -21,8 +21,9 @@ class TestAutoComponents:
         gem = GemEmbedder(config=cfg)
         gem.fit(three_mode_corpus)
         assert gem.gmm_.n_components == 3
-        assert set(gem.bic_scores_) == {3, 30}
-        assert gem.bic_scores_[3] < gem.bic_scores_[30]
+        scores = gem.selection_report_.scores
+        assert set(scores) == {3, 30}
+        assert scores[3] < scores[30]
 
     def test_infeasible_candidates_fall_back_to_default(self, rng):
         tiny = ColumnCorpus(
@@ -32,6 +33,22 @@ class TestAutoComponents:
         gem = GemEmbedder(config=cfg)
         gem.fit(tiny)
         assert gem.gmm_.n_components == 2
+        assert gem.selection_report_ is None
+
+    def test_refit_drops_previous_report(self, three_mode_corpus, rng):
+        # A refit whose sweep has no feasible candidate must not keep the
+        # previous fit's report.
+        cfg = GemConfig.fast(
+            n_components=2, auto_components=True, bic_candidates=(30, 50), n_init=1
+        )
+        gem = GemEmbedder(config=cfg).fit(three_mode_corpus)
+        assert gem.selection_report_.best == 30
+        tiny = ColumnCorpus(
+            [NumericColumn("a", rng.normal(size=4)), NumericColumn("b", rng.normal(size=4))]
+        )
+        gem.fit(tiny)
+        assert gem.gmm_.n_components == 2
+        assert gem.selection_report_ is None
 
     def test_embeddings_follow_selected_width(self, three_mode_corpus):
         cfg = GemConfig.fast(auto_components=True, bic_candidates=(3, 30), n_init=1)
@@ -52,8 +69,7 @@ class TestAutoComponents:
         report = gem.selection_report_
         assert report is not None
         assert report.best == 3
-        assert report.scores == gem.bic_scores_
-        assert report.warm_started is False
+        assert set(report.scores) == set(report.n_iter) == set(report.converged) == {3, 30}
 
     def test_sweep_uses_configured_gmm_init(self, three_mode_corpus, monkeypatch):
         # The sweep must seed candidates the same way as the final fit.
@@ -72,23 +88,6 @@ class TestAutoComponents:
         )
         GemEmbedder(config=cfg).fit(three_mode_corpus)
         assert seen["init"] == "quantile"
-        assert seen["warm_start"] is False
-        assert seen["fit_batch_size"] == cfg.fit_batch_size
-
-    def test_warm_start_bic_selects_same_structure(self, three_mode_corpus):
-        cold = GemEmbedder(
-            config=GemConfig.fast(auto_components=True, bic_candidates=(3, 30), n_init=1)
-        ).fit(three_mode_corpus)
-        warm = GemEmbedder(
-            config=GemConfig.fast(
-                auto_components=True,
-                bic_candidates=(3, 30),
-                n_init=1,
-                warm_start_bic=True,
-            )
-        ).fit(three_mode_corpus)
-        assert warm.gmm_.n_components == cold.gmm_.n_components == 3
-        assert warm.selection_report_.warm_started is True
 
 
 class TestPerColumnAutoComponentsWarning:

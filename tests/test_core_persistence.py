@@ -116,7 +116,6 @@ class TestBatchingFieldsRoundtrip:
             n_init=1,
             batch_size=128,
             cache_signatures=False,
-            n_workers=3,
         )
         gem = GemEmbedder(config=cfg)
         gem.fit(tiny_corpus)
@@ -126,7 +125,6 @@ class TestBatchingFieldsRoundtrip:
         assert restored.config == cfg
         assert restored.config.batch_size == 128
         assert restored.config.cache_signatures is False
-        assert restored.config.n_workers == 3
         assert restored._signature_cache is None
 
     def test_chunked_transform_bit_identical_after_reload(self, tiny_corpus, tmp_path):
@@ -144,8 +142,9 @@ class TestBatchingFieldsRoundtrip:
         cfg = GemConfig.fast(
             n_components=6,
             n_init=1,
-            fit_batch_size=1024,
-            warm_start_bic=True,
+            tol=1e-4,
+            covariance_floor=1e-5,
+            gmm_init="kmeans",
         )
         gem = GemEmbedder(config=cfg)
         gem.fit(tiny_corpus)
@@ -153,19 +152,21 @@ class TestBatchingFieldsRoundtrip:
         save_gem(gem, path)
         restored = load_gem(path)
         assert restored.config == cfg
-        assert restored.config.fit_batch_size == 1024
-        assert restored.config.warm_start_bic is True
         # The reconstructed mixture carries the training profile too.
-        assert restored.gmm_.fit_batch_size == 1024
+        assert restored.gmm_.tol == cfg.tol
+        assert restored.gmm_.reg_covar == cfg.covariance_floor
         assert restored.gmm_.init == cfg.gmm_init
 
     def test_retired_serve_keys_load_silently(self):
         # Archives and manifests written while serving policy, index
-        # settings and the fit-engine switch lived on GemConfig carry these
-        # keys; they load without a warning, while any other unknown key
-        # still warns.
+        # settings and the removed fit switches lived on GemConfig carry
+        # these keys; they load without a warning, while any other unknown
+        # key still warns.
         retired = dict(
             fit_engine="serial",
+            warm_start_bic=True,
+            n_workers=3,
+            fit_batch_size=1024,
             serve_batch_window_ms=7.5,
             serve_max_batch=32,
             serve_max_workers=4,
@@ -201,7 +202,7 @@ class TestBatchingFieldsRoundtrip:
         with np.load(path) as payload:
             arrays = {k: payload[k] for k in payload.files}
         cfg_dict = json.loads(bytes(arrays["config_json"]).decode("utf-8"))
-        for key in ("batch_size", "cache_signatures", "n_workers", "bic_candidates"):
+        for key in ("batch_size", "cache_signatures", "bic_candidates"):
             cfg_dict.pop(key)
         cfg_dict["retired_future_knob"] = 42
         arrays["config_json"] = np.frombuffer(json.dumps(cfg_dict).encode("utf-8"), dtype=np.uint8)

@@ -1,5 +1,5 @@
-"""Tests for the restart-vectorized streaming fit engine and the
-warm-started BIC sweep.
+"""Tests for the restart-vectorized streaming fit engine and the BIC
+sweep.
 
 The engine's two contracts are checked exactly as specified:
 
@@ -15,7 +15,8 @@ The engine's two contracts are checked exactly as specified:
 
 Both run on a continuous stack and on a duplicate-heavy one, because the
 engine scores each distinct value once, weighted by its multiplicity; a
-test-local EM over every raw sample is the oracle for that folding.
+test-local EM over every raw sample is the oracle for that folding, run
+against the engine from the same explicit start.
 """
 
 import itertools
@@ -23,13 +24,14 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core import GemConfig, GemEmbedder
+from repro.data.table import ColumnCorpus, NumericColumn
 from repro.gmm import (
     FitPlan,
     GaussianMixture,
     SelectionReport,
     seed_restarts_1d,
     select_n_components_bic,
-    split_components,
 )
 from repro.utils.rng import spawn_seeds
 
@@ -112,20 +114,34 @@ def _raw_sample_em(x, weights, means, variances, *, tol, max_iter, reg_covar):
 
 
 def _quantile_start(x, m):
-    """A deterministic warm start: equal weights, quantile means, pooled variance."""
+    """A deterministic start: equal weights, quantile means, pooled variance."""
     return np.full(m, 1.0 / m), np.quantile(x, (np.arange(m) + 0.5) / m), np.full(m, x.var())
 
 
-def _assert_matches_oracle(x, gm, start):
+def _run_from(gm, x, start):
+    """One run of ``gm``'s engine over ``x`` from the explicit ``start``
+    (no seeding); returns ``(weights, means, variances, lower_bound, n_iter,
+    converged)``."""
+    return [a[0] for a in gm._engine(x).run(*(np.array(p)[None] for p in start))]
+
+
+def _fitted(gm):
+    """A fitted mixture's parameters in the order :func:`_run_from` returns."""
+    weights, means, variances = gm.weights_, gm.means_[:, 0], gm.covariances_[:, 0, 0]
+    return weights, means, variances, gm.lower_bound_, gm.n_iter_, gm.converged_
+
+
+def _assert_matches_oracle(x, gm, start, result):
     w, mu, var, bound, n_iter, converged = _raw_sample_em(
         x, *start, tol=gm.tol, max_iter=gm.max_iter, reg_covar=gm.reg_covar
     )
-    assert gm.n_iter_ == n_iter
-    assert gm.converged_ == converged
-    np.testing.assert_allclose(gm.lower_bound_, bound, rtol=1e-9, atol=0)
-    np.testing.assert_allclose(gm.weights_, w, rtol=1e-9, atol=0)
-    np.testing.assert_allclose(gm.means_[:, 0], mu, rtol=1e-9, atol=0)
-    np.testing.assert_allclose(gm.covariances_[:, 0, 0], var, rtol=1e-9, atol=0)
+    got_w, got_mu, got_var, got_bound, got_n_iter, got_converged = result
+    assert got_n_iter == n_iter
+    assert got_converged == converged
+    np.testing.assert_allclose(got_bound, bound, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(got_w, w, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(got_mu, mu, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(got_var, var, rtol=1e-9, atol=0)
 
 
 class TestFitPlan:
@@ -213,22 +229,13 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize(
         "method",
-        [
-            "fit",
-            "fit_from",
-            "predict_proba",
-            "score_samples",
-            "score",
-            "component_pdf",
-            "bic",
-        ],
+        ["fit", "predict_proba", "score_samples", "component_pdf", "bic"],
     )
     def test_rejects_multivariate(self, trimodal, method):
         gm = GaussianMixture(2, random_state=0).fit(trimodal)
         X = np.column_stack([trimodal, trimodal])
-        args = (gm.weights_, gm.means_, gm.covariances_) if method == "fit_from" else ()
         with pytest.raises(ValueError, match="1-D"):
-            getattr(gm, method)(X, *args)
+            getattr(gm, method)(X)
 
     def test_bad_fit_batch_size_rejected(self):
         with pytest.raises(ValueError, match="fit_batch_size"):
@@ -260,11 +267,11 @@ class TestDistinctValueEM:
     @pytest.mark.parametrize("stack", ["continuous", "repeated", "hundredths"])
     @pytest.mark.parametrize("fit_batch_size", [512, None])
     def test_fit_from_matches_raw_sample_oracle(self, stacks, stack, fit_batch_size):
+        """The engine from an explicit start, at either chunking."""
         x = stacks[stack]
-        w, mu, var = _quantile_start(x, 6)
+        start = _quantile_start(x, 6)
         gm = GaussianMixture(6, tol=1e-6, fit_batch_size=fit_batch_size)
-        gm.fit_from(x, w, mu, var.reshape(-1, 1, 1))
-        _assert_matches_oracle(x, gm, (w, mu, var))
+        _assert_matches_oracle(x, gm, start, _run_from(gm, x, start))
 
     @pytest.mark.parametrize("stack", ["continuous", "repeated", "hundredths"])
     def test_seeded_fit_matches_raw_sample_oracle(self, stacks, stack):
@@ -278,26 +285,25 @@ class TestDistinctValueEM:
         gm = GaussianMixture(6, tol=1e-6, init="quantile", fit_batch_size=512, random_state=0)
         gm.fit(x)
         variances = (resp * (x[:, None] - means) ** 2).sum(axis=0) / nk + gm.reg_covar
-        _assert_matches_oracle(x, gm, (nk / x.size, means, variances))
+        _assert_matches_oracle(x, gm, (nk / x.size, means, variances), _fitted(gm))
 
     @pytest.mark.parametrize("stack", ["continuous", "repeated", "hundredths"])
     def test_fit_from_order_invariant(self, stacks, stack):
+        """The engine from an explicit start ignores the order of the values."""
         x = stacks[stack]
         shuffled = np.random.default_rng(0).permutation(x)
-        w, mu, var = _quantile_start(x, 6)
-        ref = GaussianMixture(6, tol=1e-6).fit_from(x, w, mu, var.reshape(-1, 1, 1))
-        alt = GaussianMixture(6, tol=1e-6).fit_from(shuffled, w, mu, var.reshape(-1, 1, 1))
-        assert ref.lower_bound_ == alt.lower_bound_
-        assert np.array_equal(ref.weights_, alt.weights_)
-        assert np.array_equal(ref.means_, alt.means_)
-        assert np.array_equal(ref.covariances_, alt.covariances_)
-        assert ref.n_iter_ == alt.n_iter_
+        start = _quantile_start(x, 6)
+        gm = GaussianMixture(6, tol=1e-6)
+        ref = _run_from(gm, x, start)
+        alt = _run_from(gm, shuffled, start)
+        for a, b in zip(ref, alt):
+            assert np.array_equal(a, b)
 
     def test_fewer_distinct_values_than_components(self):
         x = np.random.default_rng(1).permutation(np.repeat([1.0, 2.0, 5.0, 9.0], [50, 30, 15, 5]))
-        w, mu, var = _quantile_start(x, 6)
-        gm = GaussianMixture(6).fit_from(x, w, mu, var.reshape(-1, 1, 1))
-        _assert_matches_oracle(x, gm, (w, mu, var))
+        start = _quantile_start(x, 6)
+        gm = GaussianMixture(6)
+        _assert_matches_oracle(x, gm, start, _run_from(gm, x, start))
         for init in ("quantile", "kmeans", "random"):
             fitted = GaussianMixture(6, n_init=3, init=init, random_state=0).fit(x)
             params = (fitted.weights_, fitted.means_, fitted.covariances_, fitted.lower_bound_)
@@ -337,92 +343,30 @@ class TestSeedRestarts:
             seed_restarts_1d(np.arange(3.0), 5, [0], "quantile")
 
 
-class TestWarmStartFit:
-    def test_fit_from_refines_split_parameters(self, trimodal):
-        base = GaussianMixture(3, n_init=2, random_state=0).fit(trimodal)
-        w, mu, cov = split_components(base.weights_, base.means_, base.covariances_, 5)
-        warm = GaussianMixture(5, random_state=0).fit_from(trimodal, w, mu, cov)
-        assert warm.converged_
-        assert np.isclose(warm.weights_.sum(), 1.0)
-        # More components refining a converged base cannot do worse (up to
-        # the EM stopping slack: both bounds under-report by at most tol).
-        assert warm.lower_bound_ >= base.lower_bound_ - base.tol
-
-    def test_fit_from_rejects_mismatched_shapes(self, trimodal):
-        base = GaussianMixture(3, n_init=1, random_state=0).fit(trimodal)
-        gm = GaussianMixture(5, random_state=0)
-        with pytest.raises(ValueError, match="n_components"):
-            gm.fit_from(trimodal, base.weights_, base.means_, base.covariances_)
-
-
-class TestSplitComponents:
-    def test_grows_to_target_preserving_mass_and_mean(self, trimodal):
-        base = GaussianMixture(3, n_init=1, random_state=0).fit(trimodal)
-        w, mu, cov = split_components(base.weights_, base.means_, base.covariances_, 7)
-        assert w.shape == (7,) and mu.shape == (7, 1) and cov.shape == (7, 1, 1)
-        assert np.isclose(w.sum(), base.weights_.sum())
-        # mu +/- 0.5 sigma with halved weights preserves the first moment.
-        assert np.isclose((w[:, None] * mu).sum(), (base.weights_[:, None] * base.means_).sum())
-
-    def test_splits_heaviest_component_first(self):
-        w = np.array([0.7, 0.3])
-        mu = np.array([[0.0], [10.0]])
-        cov = np.array([[[4.0]], [[1.0]]])
-        w2, mu2, cov2 = split_components(w, mu, cov, 3)
-        # The 0.7 parent splits into two 0.35 children at 0 +/- 1.
-        assert np.isclose(sorted(w2)[-1], 0.35)
-        assert {round(float(m), 6) for m in mu2.ravel()} == {-1.0, 1.0, 10.0}
-        assert np.allclose(cov2[[0, 2]], 4.0)
-
-    def test_shrinking_rejected(self):
-        with pytest.raises(ValueError, match="n_target"):
-            split_components(np.array([0.5, 0.5]), np.zeros((2, 1)), np.ones((2, 1, 1)), 1)
-
-
 class TestWarmStartedSweep:
-    def test_warm_sweep_picks_true_count(self, trimodal):
-        report = select_n_components_bic(
-            trimodal, candidates=(2, 3, 6), warm_start=True, random_state=0
-        )
-        assert isinstance(report, SelectionReport)
-        assert report.best == 3
-        assert report.warm_started is True
-        assert set(report.scores) == {2, 3, 6}
-        assert set(report.n_iter) == set(report.converged) == {2, 3, 6}
-        assert report.subsample_size == trimodal.size
-
-    def test_cold_and_warm_agree_on_clear_structure(self, trimodal):
-        cold = select_n_components_bic(
-            trimodal, candidates=(1, 3), warm_start=False, random_state=0
-        )
-        warm = select_n_components_bic(trimodal, candidates=(1, 3), warm_start=True, random_state=0)
-        assert cold.best == warm.best == 3
-        assert cold.warm_started is False
-
-    @pytest.mark.parametrize("warm_start", [False, True])
-    def test_parallel_sweep_deterministic(self, trimodal, warm_start):
-        kwargs = dict(candidates=(2, 3, 5), warm_start=warm_start, random_state=1)
-        serial = select_n_components_bic(trimodal, n_workers=1, **kwargs)
-        threaded = select_n_components_bic(trimodal, n_workers=4, **kwargs)
-        assert serial.scores == threaded.scores
-        assert serial.best == threaded.best
+    """The BIC sweep: every candidate is fitted cold from its own seeds."""
 
     def test_generator_random_state_deterministic(self, trimodal):
-        def run(n_workers):
+        # Two equally seeded Generators give bitwise-equal scores.
+        def run():
             return select_n_components_bic(
-                trimodal,
-                candidates=(2, 4),
-                n_workers=n_workers,
-                random_state=np.random.default_rng(3),
+                trimodal, candidates=(2, 4), random_state=np.random.default_rng(3)
             )
 
-        assert run(1).scores == run(4).scores
+        first, second = run(), run()
+        assert first.scores == second.scores
+        assert first.n_iter == second.n_iter
 
-    def test_shared_subsample(self, trimodal):
-        report = select_n_components_bic(
-            trimodal, candidates=(2, 3), subsample_size=500, random_state=0
+    def test_shared_subsample(self, rng):
+        # GemEmbedder scores every candidate on one 10k-value subsample of
+        # the stack, not on the whole stack.
+        corpus = ColumnCorpus(
+            [NumericColumn(f"c{i}", rng.normal(10.0 * i, 1.0, 4000)) for i in range(3)]
         )
-        assert report.subsample_size == 500
+        cfg = GemConfig.fast(auto_components=True, bic_candidates=(2, 3), n_init=1)
+        report = GemEmbedder(config=cfg).fit(corpus).selection_report_
+        assert report.subsample_size == 10_000
+        assert set(report.scores) == {2, 3}
 
     def test_init_passthrough(self, trimodal):
         # The sweep must honour the requested seeding strategy; quantile
@@ -436,10 +380,12 @@ class TestWarmStartedSweep:
         assert quantile.scores != kmeans.scores
 
     def test_default_sweep_picks_true_count(self, trimodal):
-        report = select_n_components_bic(trimodal, candidates=(2, 3), random_state=0)
+        report = select_n_components_bic(trimodal, candidates=(2, 3, 6), random_state=0)
+        assert isinstance(report, SelectionReport)
         assert report.best == 3
-        assert isinstance(report.scores, dict) and set(report.scores) == {2, 3}
+        assert set(report.scores) == set(report.n_iter) == set(report.converged) == {2, 3, 6}
+        assert report.subsample_size == trimodal.size
 
     def test_all_infeasible_raises(self):
         with pytest.raises(ValueError, match="feasible"):
-            select_n_components_bic(np.arange(3.0), candidates=(50,), warm_start=True)
+            select_n_components_bic(np.arange(3.0), candidates=(50,))
