@@ -482,11 +482,13 @@ class GemEmbedder:
         corpus it arrives in. Two configurations remain
         genuinely corpus-dependent: the autoencoder composition trains its
         projection on each transformed corpus, and ``per_column`` mode
-        fits its distributional block at transform time so the balance
-        statistics cannot be frozen. Under those, rows embedded from
-        different corpora live in different spaces and must not be
-        compared by cosine — the serving path (:meth:`build_index` /
-        ``GemIndex.search_corpus``) refuses cross-corpus queries.
+        fits its distributional block at transform time, so a balance step
+        cannot be frozen and a Generator seed draws fresh per-column seeds
+        per call. Under those, rows embedded in different calls live in
+        different spaces and must not be compared by cosine:
+        ``GemIndex.search_corpus`` and ``GemService`` refuse such an
+        embedder, and an index built from it answers ``search`` over its
+        stored rows only.
         """
         cfg = self.config
         if cfg.composition == "autoencoder":
@@ -516,6 +518,9 @@ class GemEmbedder:
         with this embedder's model fingerprint and keeps the embedder
         attached, so ``index.search_corpus(other_corpus, k)`` embeds
         through the frozen model — and refuses to serve after a refit.
+        With a corpus-independent transform, ``search_corpus`` given this
+        same corpus recognises it by its rows and leaves each column's own
+        row out (§4.1.2).
 
         Parameters
         ----------
@@ -536,13 +541,9 @@ class GemEmbedder:
         embeddings = self.transform(corpus)
         if ids is None:
             ids = corpus_column_ids(corpus)
-        # Content hashes of the raw cell values let search_corpus recognise
-        # a query column's own stored row exactly, even when the transform
-        # itself is not call-reproducible.
-        value_fps = [array_fingerprint(c.values) for c in corpus]
         index_kwargs.setdefault("random_state", self.config.random_state)
         index = GemIndex(embeddings.shape[1], **index_kwargs)  # type: ignore[arg-type]
-        index.add(ids, embeddings, value_fingerprints=value_fps)
+        index.add(ids, embeddings)
         index.attach(self)
         return index
 

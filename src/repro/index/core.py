@@ -30,6 +30,12 @@ quadratic. An index built from a fitted embedder
 fingerprint, and every model-mediated operation re-checks it, so a stale
 index refuses to serve a refit model (:class:`StaleIndexError`) instead of
 silently mixing embedding spaces.
+
+:meth:`GemIndex.search_corpus` ranks a corpus through that attached model
+and recognises the indexed corpus itself by its rows: when the fresh rows,
+cast to the storage dtype, equal the live stored rows in storage order,
+each column's own stored row is left out of its results (§4.1.2) — the
+same row check ``precision_recall_at_k(index=)`` makes.
 """
 
 from __future__ import annotations
@@ -63,9 +69,8 @@ class StaleIndexError(RuntimeError):
 def corpus_column_ids(corpus: Iterable) -> list[str]:
     """Default stable ids for a corpus's columns: ``"<position>:<header>"``.
 
-    Deterministic for a given corpus, so embedding the same corpus again
-    (e.g. to query it against its own index) reproduces the ids and
-    self-exclusion works without bookkeeping.
+    Deterministic for a given corpus, so rebuilding an index from the
+    same corpus reproduces the ids.
     """
     return [f"{i}:{getattr(col, 'name', '')}" for i, col in enumerate(corpus)]
 
@@ -216,10 +221,6 @@ class GemIndex:
         self._pos: dict[str, int] = {}
         self._dead: np.ndarray | None = None
         self._id_lookup: np.ndarray | None = None
-        # Content hash of the *raw column values* behind each stored row,
-        # when known (rows added via build_index); the self-exclusion
-        # criterion that survives non-reproducible transforms.
-        self._value_fps: dict[str, str] = {}
         self._partition = (
             IVFPartition(n_lists, random_state) if backend in ("ivf", "pq") else None
         )
@@ -350,24 +351,13 @@ class GemIndex:
 
     # ----------------------------------------------------------- add/remove
 
-    def add(
-        self,
-        ids: Sequence[str],
-        vectors: np.ndarray,
-        *,
-        value_fingerprints: Sequence[str] | None = None,
-    ) -> None:
+    def add(self, ids: Sequence[str], vectors: np.ndarray) -> None:
         """Store ``vectors`` under ``ids`` (appended in order).
 
         Ids must be unique strings not already present. On a trained IVF or
         PQ index, new rows are assigned to their nearest existing centroid
         (and PQ-encoded) without retraining; call :meth:`train` after heavy
         churn to refresh the quantizers.
-
-        ``value_fingerprints`` optionally records a content hash of the raw
-        column values behind each vector (``build_index`` supplies these);
-        :meth:`search_corpus` uses them to recognise a query column's own
-        stored row exactly, independent of transform reproducibility.
         """
         X = check_array_2d(vectors, "vectors", min_rows=1)
         if X.shape[1] != self.dim:
@@ -382,8 +372,6 @@ class GemIndex:
                 raise ValueError(f"column id {column_id!r} is already stored")
         if len(set(ids)) != len(ids):
             raise ValueError("column ids within one add() call must be unique")
-        if value_fingerprints is not None and len(value_fingerprints) != len(ids):
-            raise ValueError(f"{len(value_fingerprints)} value_fingerprints for {len(ids)} ids")
         # The stored representation is the dtype-cast row; unit rows are
         # computed FROM it (not from the float64 input), so reloading a
         # float32 archive — or re-encoding the stored rows — reproduces
@@ -426,8 +414,6 @@ class GemIndex:
             )
         for offset, column_id in enumerate(ids):
             self._pos[column_id] = base + offset
-        if value_fingerprints is not None:
-            self._value_fps.update(zip(ids, value_fingerprints))
         if assignments is not None:
             self._partition.extend(unit64, assignments=assignments)
 
@@ -454,7 +440,6 @@ class GemIndex:
             slot = self._pos.pop(column_id)
             self._slot_ids[slot] = None
             dead[slot] = True
-            self._value_fps.pop(column_id, None)
         # Rebind (never write the shared mask in place): snapshots holding
         # the previous mask keep serving the rows they had when published.
         self._dead = dead
@@ -536,7 +521,6 @@ class GemIndex:
         clone._pos = dict(self._pos)
         clone._dead = self._dead
         clone._id_lookup = self._id_lookup
-        clone._value_fps = dict(self._value_fps)
         clone._partition = (
             self._partition.fork() if self._partition is not None else None
         )
@@ -738,14 +722,23 @@ class GemIndex:
         Requires an attached embedder (set by ``GemEmbedder.build_index``
         or :meth:`attach`); the model fingerprint is re-checked on every
         call, so a refit model raises :class:`StaleIndexError` instead of
-        serving stale neighbours. With ``exclude_self`` (default), each
-        column's own stored row is excluded from its results — the §4.1.2
-        protocol. "Own row" is identified by the content hash of the raw
-        cell values recorded at :meth:`~repro.core.gem.GemEmbedder.build_index`
-        time (see :meth:`_self_exclusion_ids`), so exclusion neither masks
-        an unrelated stored column whose positional id happens to recur in
-        another corpus, nor silently no-ops when the transform is not
-        call-reproducible or the index was built with custom ids.
+        serving stale neighbours.
+
+        With ``exclude_self`` (default), a corpus that *is* the indexed one
+        leaves each column's own stored row out of its results — the
+        §4.1.2 protocol, the dense path's diagonal. The corpus is the
+        indexed one when it has one column per live row and its fresh
+        rows, cast to the storage dtype, equal the stored rows in storage
+        order. Exclusion is then by stored id, so custom ids work and
+        exact-duplicate columns keep each other as neighbours. Any other
+        corpus — a subset, or one whose column coincides with a stored
+        one — has no diagonal: nothing is excluded, and a content twin
+        comes back as a perfect-score neighbour.
+
+        Raises ``ValueError`` before transforming when the embedder's
+        transform is corpus-dependent (rows from separate calls are not
+        comparable), and ``RuntimeError`` when the rows must be compared
+        but a trained ``pq`` index with ``pq_rerank=0`` has released them.
         """
         if self._embedder is None:
             raise RuntimeError(
@@ -753,106 +746,21 @@ class GemIndex:
                 "GemEmbedder.build_index() or call index.attach(embedder)"
             )
         self._check_fresh(self._embedder)
-        corpus_dependent = getattr(self._embedder, "transform_is_corpus_dependent", False)
-        if not corpus_dependent:
-            rows = self._embedder.transform(corpus)
-            # Ownership resolution hashes every query column's raw values;
-            # skip it when the exclusion list does not need it (the
-            # exclude_self=False hot path).
-            owners = self._self_exclusion_ids(corpus, rows) if exclude_self else None
-        else:
-            # Don't transform yet: on this path the stored rows are used
-            # (below), so a fresh transform — a complete autoencoder
-            # training run, or per-column refits — would be discarded.
-            owners = self._self_exclusion_ids(corpus, None)
-            # The embedder scales/projects per transformed corpus
-            # (autoencoder composition, or per_column mode whose balance
-            # statistics cannot be frozen at fit), so embeddings are only
-            # comparable to the stored rows when the query corpus IS the
-            # indexed corpus, column for column — even a subset rescales by
-            # its own corpus statistics and lands in a different space.
-            # (Checked by content: every query column must resolve to the
-            # stored row at its own position.)
-            live_ids = self.ids
-            same_corpus = len(owners) == len(live_ids) and all(
-                cid == stored for cid, stored in zip(owners, live_ids)
+        if self._embedder.transform_is_corpus_dependent:
+            raise ValueError(
+                "search_corpus needs a corpus-independent transform, but this "
+                "embedder's is corpus-dependent (composition='autoencoder', or "
+                "fit_mode='per_column' with balanced blocks or a Generator "
+                "seed): freshly embedded rows are not comparable to the "
+                "stored ones. To rank the indexed corpus against itself, use "
+                "index.search(index.vectors(), k, exclude_ids=list(index.ids))."
             )
-            if not same_corpus:
-                raise ValueError(
-                    "search_corpus received a corpus that is not exactly "
-                    "the indexed one, but this embedder's transform is "
-                    "corpus-dependent (composition='autoencoder', "
-                    "fit_mode='per_column' with balanced blocks, or a model "
-                    "restored from an archive without frozen balance "
-                    "statistics), so its embeddings are not comparable to "
-                    "the stored rows — "
-                    "even a subset of the indexed corpus rescales "
-                    "differently. Query the full indexed corpus, or "
-                    "rebuild the index from an embedder without "
-                    "corpus-dependent stages."
-                )
-            # The corpus IS the indexed one (owners == stored ids in
-            # order), so query with the stored rows themselves: a fresh
-            # transform would be a different stochastic realization
-            # (per-column GMM refits or autoencoder retraining under a
-            # Generator seed), and ranking it against the stored rows
-            # would mix embedding spaces.
-            if not self._stores_rows:
-                raise RuntimeError(
-                    "a corpus-dependent embedder must query with the stored "
-                    "rows, but a trained pq index with pq_rerank=0 has "
-                    "released them — build with pq_rerank > 0 or another "
-                    "backend"
-                )
-            rows = self._rows if self._dead is None else self._rows[~self._dead]
-        return self.search(rows, k, exclude_ids=owners if exclude_self else None)
-
-    def _self_exclusion_ids(self, corpus, rows: np.ndarray | None) -> list[str | None]:
-        """The stored id that *is* each query column, or ``None``.
-
-        A column is "itself" only when the *whole query corpus* is the
-        indexed corpus — verified by content hashes (recorded by
-        ``build_index``) either under the columns' default corpus ids or
-        position-for-position under custom ids. Then each column excludes
-        its own stored row, mirroring the dense path's diagonal, and
-        exact-duplicate columns keep each other as neighbours. Any other
-        corpus has no diagonal to exclude: a per-column coincidence —
-        same content at the same position, or under the same positional
-        id, in a *different* corpus (id-like ``1..n`` columns make this
-        common) — is a legitimate perfect-score neighbour that must not
-        be silently dropped.
-
-        Fallback for indexes whose rows were stored without content
-        hashes: bitwise equality of each column's fresh embedding with
-        the stored row under its default id (best effort — defeated by
-        non-reproducible transforms and by lossy storage dtypes; skipped
-        when no fresh embeddings were computed, i.e. ``rows`` is ``None``,
-        or when raw rows are not resident).
-        """
-        from repro.core.cache import array_fingerprint
-
-        ids = corpus_column_ids(corpus)
-        fps = [array_fingerprint(column.values) for column in corpus]
-        live_ids = self.ids
-        if len(fps) == len(live_ids) and self._value_fps:
-            if all(self._value_fps.get(cid) == fp for cid, fp in zip(ids, fps)):
-                return list(ids)
-            if all(self._value_fps.get(sid) == fp for sid, fp in zip(live_ids, fps)):
-                return list(live_ids)
-        exclude: list[str | None] = []
-        for i, cid in enumerate(ids):
-            pos = self._pos.get(cid, -1)
-            if (
-                rows is not None
-                and pos >= 0
-                and cid not in self._value_fps
-                and self._stores_rows
-                and np.array_equal(self._rows[pos], rows[i])
-            ):
-                exclude.append(cid)
-            else:
-                exclude.append(None)
-        return exclude
+        rows = self._embedder.transform(corpus)
+        exclude_ids = None
+        if exclude_self and rows.shape[0] == len(self):
+            if np.array_equal(rows.astype(self.dtype, copy=False), self.vectors()):
+                exclude_ids = list(self.ids)
+        return self.search(rows, k, exclude_ids=exclude_ids)
 
     # ------------------------------------------------------ model freshness
 

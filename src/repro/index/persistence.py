@@ -87,12 +87,6 @@ def save_index(index: GemIndex, path: str | Path) -> None:
     }
     if index._stores_rows:
         arrays["rows"] = index._rows if keep is None else index._rows[keep]
-    if index._value_fps:
-        fp_ids = sorted(index._value_fps)
-        arrays["value_fp_ids"] = np.array(fp_ids, dtype=np.str_)
-        arrays["value_fp_hashes"] = np.array(
-            [index._value_fps[cid] for cid in fp_ids], dtype=np.str_
-        )
     if index._partition is not None and index._partition.trained:
         arrays["ivf_centroids"] = index._partition.centroids_
         arrays["ivf_assignments"] = (
@@ -190,6 +184,8 @@ def load_index(path: str | Path) -> GemIndex:
     bit-identically, so a reloaded index returns exactly the searches of
     the saved one. The archive's content checksum is verified first
     (:exc:`~repro.core.persistence.CorruptArchiveError` on mismatch).
+    Members this version does not read, such as the per-row value hashes
+    older versions wrote, are ignored (the checksum still covers them).
     """
     payload, config = _read(path)
     index = GemIndex(
@@ -229,13 +225,6 @@ def load_index(path: str | Path) -> GemIndex:
         if "ivf_centroids" in payload:
             assert index._partition is not None
             index._partition.restore(payload["ivf_centroids"], payload["ivf_assignments"])
-    if "value_fp_ids" in payload:
-        index._value_fps = dict(
-            zip(
-                (str(cid) for cid in payload["value_fp_ids"]),
-                (str(fp) for fp in payload["value_fp_hashes"]),
-            )
-        )
     return index
 
 

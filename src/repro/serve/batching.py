@@ -41,7 +41,9 @@ blocked past it. Enforcement is belt and braces:
 * caller side (the guarantee): :meth:`Ticket.result` bounds its wait by
   the deadline and raises
   :class:`~repro.serve.resilience.DeadlineExceededError` on expiry — the
-  caller unblocks even if the executing thread is wedged in a fault;
+  caller unblocks even if the executing thread is wedged in a fault. The
+  same bound holds before a ticket exists: a submission that finds the
+  open batch full waits for it to be sealed only until its deadline;
 * leader side (the optimisation): a leader waiting for an execution slot
   bounds that wait by the latest live deadline in its batch and, at
   execution, sheds tickets that already expired (their result slot gets
@@ -196,7 +198,9 @@ class MicroBatcher:
         The leader executes the batch on this thread before returning, so
         its ``result()`` is already resolved; followers return immediately
         and block in ``result()``. ``deadline`` bounds this request's
-        waits (see the module docstring).
+        waits (see the module docstring), including the wait here for a
+        full open batch to be sealed, which raises
+        :class:`~repro.serve.resilience.DeadlineExceededError` on expiry.
 
         Admission is atomic with respect to :meth:`close`: the closed
         check and the ticket joining its batch happen inside one critical
@@ -219,8 +223,14 @@ class MicroBatcher:
                     batch = self._open
                     is_leader = False
                     break
-                # Open batch full: wait for its leader to seal it.
-                self._cond.wait(0.05)
+                # Open batch full: wait for its leader to seal it, but never
+                # past this request's deadline.
+                remaining = deadline.remaining()
+                if remaining <= 0:
+                    raise DeadlineExceededError(
+                        "request deadline expired while the open batch was full"
+                    )
+                self._cond.wait(min(0.05, remaining))
             ticket = Ticket(payload, batch, deadline)
             batch.tickets.append(ticket)
         if is_leader:

@@ -22,7 +22,12 @@ gone). The framing makes torn tails self-detecting: a record whose
 length field, payload or digest is incomplete — the classic
 crashed-mid-append artifact — terminates replay silently, exactly like a
 real WAL. Everything *before* the torn record is intact by construction
-(appends are sequential and flushed).
+(appends are sequential and fsynced). A torn frame can only ever be the
+last one: an append whose write or fsync fails cuts the log back to its
+previous end before the error propagates, so a later acknowledged batch
+never sits behind it. If that cut fails too, the log refuses every
+further append until :meth:`GemOpLog.truncate` succeeds. Replay ignores
+the per-row content hashes that older versions wrote into ingest ops.
 
 A successful checkpoint (``save_index`` through the write applier)
 truncates the log: the archive now covers everything, and an unbounded
@@ -71,8 +76,6 @@ def _encode_op(op: WriteOp) -> dict[str, object]:
     record: dict[str, object] = {"kind": op.kind, "ids": list(op.ids)}
     if op.rows is not None:
         record["rows"] = _encode_rows(op.rows)
-    if op.value_fps is not None:
-        record["value_fps"] = list(op.value_fps)
     return record
 
 
@@ -81,11 +84,6 @@ def _decode_op(record: dict[str, object]) -> WriteOp:
         str(record["kind"]),
         [str(cid) for cid in record["ids"]],  # type: ignore[union-attr]
         rows=_decode_rows(record["rows"]) if "rows" in record else None,  # type: ignore[arg-type]
-        value_fps=(
-            [str(fp) for fp in record["value_fps"]]  # type: ignore[union-attr]
-            if "value_fps" in record
-            else None
-        ),
     )
 
 
@@ -113,6 +111,11 @@ class GemOpLog:
         self._fh = None
         self._writers = 0
         self._close_pending = False
+        # Set when a failed append could not be cut back: its partial frame
+        # would hide every later record from replay, so appends are refused
+        # until truncate() removes it. Read and written only by the single
+        # writer thread.
+        self._torn = False
 
     # -------------------------------------------------------------- writing
 
@@ -122,7 +125,9 @@ class GemOpLog:
             if self._close_pending:
                 raise ValueError("oplog is closing")
             if self._fh is None:
-                self._fh = open(self.path, "ab")
+                # Unbuffered: no byte of a failed frame may linger in a
+                # buffer for the next append to flush after it.
+                self._fh = open(self.path, "ab", buffering=0)
             self._writers += 1
             return self._fh
 
@@ -140,20 +145,38 @@ class GemOpLog:
     def append(self, ops: list[WriteOp]) -> None:
         """Durably record one applied batch (no-op for an empty batch).
 
-        Flushes and fsyncs before returning: once this returns, the batch
-        survives a crash. The service calls it after the batch applied
-        but *before* acknowledging its callers — acked implies logged.
+        Writes the whole frame and fsyncs before returning: once this
+        returns, the batch survives a crash. The service calls it after the
+        batch applied but *before* acknowledging its callers — acked
+        implies logged. If the write or the fsync raises, the log is cut
+        back to its size before the call and the error propagates, so the
+        failed frame cannot hide later batches from replay. If the cut
+        fails as well, this and every later append raise ``OSError`` until
+        :meth:`truncate` succeeds.
         """
         if not ops:
             return
         body = json.dumps({"ops": [_encode_op(op) for op in ops]}).encode("utf-8")
-        frame = _LEN.pack(len(body)) + _digest(body) + body
+        frame = memoryview(_LEN.pack(len(body)) + _digest(body) + body)
         fh = self._checkout()
         try:
+            if self._torn:
+                raise OSError(
+                    f"op log {self.path} ends in a failed append that could not "
+                    "be cut back; truncate() it before appending"
+                )
             fault_point("oplog.append")
-            fh.write(frame)
-            fh.flush()
-            os.fsync(fh.fileno())
+            size = os.fstat(fh.fileno()).st_size
+            try:
+                while frame:
+                    frame = frame[fh.write(frame) :]
+                os.fsync(fh.fileno())
+            except OSError:
+                try:
+                    os.ftruncate(fh.fileno(), size)
+                except OSError:
+                    self._torn = True
+                raise
         finally:
             self._checkin()
 
@@ -162,8 +185,8 @@ class GemOpLog:
         fh = self._checkout()
         try:
             fh.truncate(0)
-            fh.flush()
             os.fsync(fh.fileno())
+            self._torn = False
         finally:
             self._checkin()
 

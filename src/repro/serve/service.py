@@ -51,7 +51,6 @@ from typing import ContextManager, Sequence
 
 import numpy as np
 
-from repro.core.cache import array_fingerprint
 from repro.core.gem import GemEmbedder
 from repro.data.table import ColumnCorpus, NumericColumn
 from repro.index.core import GemIndex, SearchResult
@@ -267,9 +266,7 @@ class GemService:
             return
         replayed = 0
         for ops in self._oplog.replay():
-            outcomes, n_in, n_out = self._store.apply(
-                [op for op in ops if op.kind != "checkpoint"]
-            )
+            outcomes, _, _ = self._store.apply(ops)
             replayed += sum(1 for outcome in outcomes if outcome is None)
         if replayed:
             self.metrics.record_replayed(replayed)
@@ -449,8 +446,7 @@ class GemService:
             try:
                 embed_ticket = self._reads.submit(("embed", cols), deadline)
                 rows = embed_ticket.result(timeout=_RESULT_BACKSTOP_S)
-                value_fps = [array_fingerprint(c.values) for c in cols]
-                op = WriteOp("ingest", ids, rows=rows, value_fps=value_fps)
+                op = WriteOp("ingest", ids, rows=rows)
                 ticket = self._writes.submit(op, deadline)
                 ticket.result(timeout=_RESULT_BACKSTOP_S)
             except DeadlineExceededError:

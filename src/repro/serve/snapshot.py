@@ -17,13 +17,12 @@ never a half-applied batch — and a slow reader mid-search keeps its old
 snapshot alive (plain garbage collection reclaims it when the last reader
 lets go). Operations inside one batch apply in arrival order, so an evict
 of a column id followed by an ingest of the same id resurrects the row
-under its fresh vector and content hash instead of raising on the stale
-one.
+under its fresh vector instead of raising on the stale one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -38,17 +37,17 @@ class WriteOp:
     """One queued write: an ``ingest`` (with rows), an ``evict``, or a
     ``checkpoint``.
 
-    ``rows``/``value_fps`` are filled in by the service after embedding
-    the ingested columns; ``evict`` ops carry only ids; ``checkpoint``
-    ops carry only ``path`` — they flow through the same single-writer
-    queue so the archive they write is a consistent point in the op
-    order (everything before it, nothing after it).
+    ``rows`` are filled in by the service after embedding the ingested
+    columns; ``evict`` ops carry only ids; ``checkpoint`` ops carry only
+    ``path`` — they flow through the same single-writer queue so the
+    archive they write is a consistent point in the op order (everything
+    before it, nothing after it). The op log never records a checkpoint:
+    applying one truncates the log instead.
     """
 
     kind: str  # "ingest" | "evict" | "checkpoint"
     ids: list[str]
     rows: np.ndarray | None = None
-    value_fps: list[str] | None = field(default=None)
     path: str | Path | None = None
 
 
@@ -90,7 +89,7 @@ class SnapshotStore:
                 fault_point("snapshot.apply")
                 if op.kind == "ingest":
                     assert op.rows is not None
-                    self._working.add(op.ids, op.rows, value_fingerprints=op.value_fps)
+                    self._working.add(op.ids, op.rows)
                     n_in += len(op.ids)
                 elif op.kind == "evict":
                     self._working.remove(op.ids)

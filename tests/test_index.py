@@ -241,18 +241,15 @@ class TestIncrementalUpdates:
         assert len(index) == 6
 
     def test_remove_then_readd_resurrects_and_searches(self, rng):
-        # remove -> add of the same id must resurrect the row under a fresh
-        # content hash (the stale one was dropped by remove), and the
+        # remove -> add of the same id must resurrect the row, and the
         # remove -> add -> search sequence must serve the *new* vector.
         X = rng.normal(size=(8, 4))
         index = GemIndex(4)
-        index.add(_ids(8), X, value_fingerprints=[f"fp{i}" for i in range(8)])
+        index.add(_ids(8), X)
         index.remove(["c5"])
-        assert "c5" not in index._value_fps
         new_vec = rng.normal(size=(1, 4))
-        index.add(["c5"], new_vec, value_fingerprints=["fp5-v2"])
+        index.add(["c5"], new_vec)
         assert len(index) == 8
-        assert index._value_fps["c5"] == "fp5-v2"
         result = index.search(new_vec, 1)
         assert result.ids[0, 0] == "c5"
         assert result.scores[0, 0] == pytest.approx(1.0)
@@ -398,13 +395,13 @@ class TestSnapshots:
         result = snap.search(X[:3], 5)
         assert "extra" not in set(result.ids.ravel())
 
-    def test_snapshot_carries_value_fingerprints_and_model_binding(self, rng):
+    def test_snapshot_carries_model_binding(self, rng):
         X = rng.normal(size=(5, 3))
         index = GemIndex(3, model_fingerprint="abc123")
-        index.add(_ids(5), X, value_fingerprints=[f"fp{i}" for i in range(5)])
+        index.add(_ids(5), X)
         snap = index.snapshot()
         index.remove(["c2"])
-        assert snap._value_fps["c2"] == "fp2"
+        assert "c2" in snap
         assert snap.model_fingerprint == "abc123"
 
 
@@ -921,33 +918,6 @@ class TestEmbedderIntegration:
         own = corpus_column_ids(corpus)
         assert all(own[i] not in set(self_hits.ids[i]) for i in range(len(corpus)))
 
-    def test_search_corpus_excludes_self_with_nonreproducible_transform(self):
-        # Regression: self-exclusion once compared re-embedded vectors to
-        # stored rows. With fit_mode="per_column" and a Generator seed the
-        # transform is not call-reproducible, so that comparison failed for
-        # nearly every column and each column retrieved its own stored row
-        # as (near) top hit. Exclusion now keys on the raw-value content
-        # hash recorded at build time.
-        corpus = make_gds(scale="small").take(list(range(40)))
-        gem = GemEmbedder(
-            n_components=4,
-            n_init=1,
-            max_iter=40,
-            fit_mode="per_column",
-            random_state=np.random.default_rng(0),
-        )
-        gem.fit(corpus)
-        index = gem.build_index(corpus)
-        result = index.search_corpus(corpus, 3)
-        own = corpus_column_ids(corpus)
-        assert all(own[i] not in set(result.ids[i]) for i in range(len(corpus)))
-        # And the ranking itself must come from the *stored* embedding
-        # space, not a fresh stochastic re-transform: identical to a direct
-        # stored-rows-vs-stored-rows search.
-        direct = index.search(index.vectors(), 3, exclude_ids=list(index.ids))
-        assert np.array_equal(result.positions, direct.positions)
-        assert np.array_equal(result.scores, direct.scores)
-
     def test_search_corpus_excludes_self_under_custom_ids(self, fitted):
         # Regression: exclusion used to key only on the default positional
         # ids, so an index built with custom ids silently stopped excluding
@@ -1013,6 +983,82 @@ class TestEmbedderIntegration:
         result = index.search_corpus(corpus, 5)
         assert np.array_equal(result.positions, dense_top)
 
+    @pytest.mark.parametrize(
+        "index_kwargs",
+        [
+            dict(backend="exact"),
+            dict(backend="exact", dtype="float32"),
+            dict(backend="ivf", n_lists=4, n_probe=4),
+            dict(backend="pq", n_lists=2, pq_subvectors=4, pq_codes=16, pq_rerank=20),
+        ],
+        ids=["exact-float64", "exact-float32", "ivf-full-probe", "pq-rerank"],
+    )
+    def test_search_corpus_excludes_self_on_every_backend(self, fitted, index_kwargs):
+        # The indexed corpus is recognised by its rows, cast to the storage
+        # dtype: every backend that keeps its rows excludes self, and
+        # ranks exactly as a stored-id exclusion over the fresh rows.
+        corpus, gem, emb = fitted
+        index = gem.build_index(corpus, **index_kwargs)
+        own = corpus_column_ids(corpus)
+        hits = index.search_corpus(corpus, 5)
+        assert all(own[i] not in set(hits.ids[i]) for i in range(len(corpus)))
+        direct = index.search(emb, 5, exclude_ids=own)
+        assert np.array_equal(hits.positions, direct.positions)
+        assert np.array_equal(hits.scores, direct.scores)
+        # After removing 3 columns, what remains is the indexed corpus.
+        gone = (2, 17, 40)
+        index.remove([own[i] for i in gone])
+        keep = [i for i in range(len(corpus)) if i not in gone]
+        hits = index.search_corpus(corpus.take(keep), 5)
+        kept_ids = [own[i] for i in keep]
+        assert all(kept_ids[j] not in set(hits.ids[j]) for j in range(len(keep)))
+        assert not set(hits.ids.ravel()) & {own[i] for i in gone}
+        direct = index.search(emb[keep], 5, exclude_ids=kept_ids)
+        assert np.array_equal(hits.positions, direct.positions)
+        assert np.array_equal(hits.scores, direct.scores)
+
+    def test_search_corpus_on_codes_only_pq_cannot_recognise_itself(self, fitted):
+        # A trained pq index with pq_rerank=0 has released its rows, so it
+        # cannot tell whether a same-sized corpus is the indexed one.
+        corpus, gem, emb = fitted
+        index = gem.build_index(
+            corpus, backend="pq", n_lists=2, pq_subvectors=4, pq_codes=16
+        ).train()
+        with pytest.raises(RuntimeError, match="pq_rerank=0"):
+            index.search_corpus(corpus, 5)
+        other = make_gds(scale="small", random_state=5).take(list(range(5)))
+        assert index.search_corpus(other, 3).positions.shape == (5, 3)
+        loose = index.search_corpus(corpus, 5, exclude_self=False)
+        expected = index.search(emb, 5)
+        assert np.array_equal(loose.positions, expected.positions)
+        assert np.array_equal(loose.scores, expected.scores)
+
+    def test_archive_with_value_hashes_from_older_versions_loads(self, fitted, tmp_path):
+        # Older versions stored a content hash per row in the index
+        # archive. Such an archive still loads without a warning, and the
+        # indexed corpus is still recognised by its rows.
+        import warnings
+
+        from repro.core.cache import array_fingerprint
+        from repro.core.persistence import atomic_savez, read_archive
+
+        corpus, gem, emb = fitted
+        path = tmp_path / "old.npz"
+        save_index(gem.build_index(corpus), path)
+        payload = read_archive(path)
+        own = corpus_column_ids(corpus)
+        fps = dict(zip(own, (array_fingerprint(c.values) for c in corpus)))
+        payload["value_fp_ids"] = np.array(sorted(fps), dtype=np.str_)
+        payload["value_fp_hashes"] = np.array([fps[c] for c in sorted(fps)], dtype=np.str_)
+        atomic_savez(path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_index(path).attach(gem)
+            hits = loaded.search_corpus(corpus, 5)
+        assert all(own[i] not in set(hits.ids[i]) for i in range(len(corpus)))
+        dense_top, _ = _dense_reference(emb, 5)
+        assert np.array_equal(hits.positions, dense_top)
+
     def test_stale_index_refuses_refit_model(self, fitted):
         corpus, gem, emb = fitted
         index = gem.build_index(corpus)
@@ -1064,23 +1110,22 @@ class TestEmbedderIntegration:
     def test_corpus_dependent_transform_refuses_cross_corpus_queries(self):
         # per_column mode fits its distributional block at transform time,
         # so the corpus-level balance statistics cannot be frozen at fit —
-        # rows from another corpus (or a subset) live in a different space
-        # and must not be ranked against the stored ones.
+        # rows from another corpus (or a subset, or another call) live in
+        # a different space and must not be ranked against the stored ones.
         corpus = make_gds(scale="small").take(list(range(30)))
         gem = GemEmbedder(fit_mode="per_column", **FAST)
         assert gem.transform_is_corpus_dependent
         gem.fit(corpus)
         index = gem.build_index(corpus)
-        # Querying the indexed corpus itself stays fine (same statistics).
-        ok = index.search_corpus(corpus, 3)
-        assert ok.positions.shape == (30, 3)
         other = make_gds(scale="small", random_state=5).take(list(range(5)))
-        with pytest.raises(ValueError, match="corpus-dependent"):
-            index.search_corpus(other, 3)
-        # A strict *subset* of the indexed corpus rescales by its own
-        # corpus statistics too — also a different space, also refused.
-        with pytest.raises(ValueError, match="corpus-dependent"):
-            index.search_corpus(corpus.take(list(range(5))), 3)
+        for query in (other, corpus.take(list(range(5))), corpus):
+            with pytest.raises(ValueError, match="corpus-dependent"):
+                index.search_corpus(query, 3)
+        # The stored rows themselves are one space: ranking them against
+        # each other is the way to query the indexed corpus.
+        own = index.search(index.vectors(), 3, exclude_ids=list(index.ids))
+        assert own.positions.shape == (30, 3)
+        assert all(index.ids[i] not in set(own.ids[i]) for i in range(30))
 
     def test_per_column_generator_seed_is_corpus_dependent_even_single_block(self):
         # Regression: per_column with only the D block has no balance step,
@@ -1248,8 +1293,8 @@ class TestGemFingerprint:
         assert np.array_equal(hits.positions, index.search_corpus(tiny_corpus, 3).positions)
 
     def test_corpus_dependent_same_corpus_query_skips_retransform(self, tiny_corpus):
-        # On the corpus-dependent path the stored rows are used, so the
-        # (potentially expensive, stochastic) fresh transform must not run.
+        # A corpus-dependent embedder is refused before the (potentially
+        # expensive, stochastic) fresh transform runs.
         gem = GemEmbedder(
             n_components=4, n_init=1, max_iter=40, fit_mode="per_column"
         ).fit(tiny_corpus)
@@ -1259,9 +1304,8 @@ class TestGemFingerprint:
             raise AssertionError("transform must not be called")
 
         gem.transform = boom
-        hits = index.search_corpus(tiny_corpus, 3)
-        direct = index.search(index.vectors(), 3, exclude_ids=list(index.ids))
-        assert np.array_equal(hits.positions, direct.positions)
+        with pytest.raises(ValueError, match="corpus-dependent"):
+            index.search_corpus(tiny_corpus, 3)
 
     def test_generator_seeds_fingerprint_stably(self, tiny_corpus):
         # Regression: repr(np.random.Generator) embeds the object's memory

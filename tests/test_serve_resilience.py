@@ -277,6 +277,41 @@ class TestBatcherDeadlines:
             t_slow.join(timeout=5)
         assert "doomed" not in seen  # shed means the work was never done
 
+    def test_full_open_batch_wait_ends_at_deadline(self):
+        # With max_batch=1 the open batch is full as soon as its leader
+        # joins it, and the leader seals it only once it gets the one
+        # execution slot. A submission that finds it full must still be
+        # released at its own deadline, not when the slot frees up.
+        started = threading.Event()
+        release = threading.Event()
+
+        def fn(ps):
+            started.set()
+            release.wait(5.0)
+            return ps
+
+        with MicroBatcher(fn, window_ms=0, max_batch=1, max_workers=1) as mb:
+            threads = [
+                threading.Thread(target=lambda p=p: mb.submit(p, _deadline()).result(timeout=10))
+                for p in ("a", "b")
+            ]
+            try:
+                threads[0].start()
+                assert started.wait(5.0)  # "a" holds the only slot
+                threads[1].start()  # "b" leads a full batch, waiting for it
+                limit = time.monotonic() + 5.0
+                while mb._open is None and time.monotonic() < limit:
+                    time.sleep(0.005)
+                assert mb._open is not None
+                t0 = time.monotonic()
+                with pytest.raises(DeadlineExceededError):
+                    mb.submit("c", Deadline.after_ms(100)).result(timeout=10)
+                assert time.monotonic() - t0 < 0.4
+            finally:
+                release.set()
+                for thread in threads:
+                    thread.join(timeout=10)
+
     def test_result_delivers_when_done_despite_expired_deadline(self):
         # The leader executes on its own thread; by the time it calls
         # result() the batch is done, so the landed result is delivered
@@ -543,9 +578,13 @@ class TestOpLog:
         rng = np.random.default_rng(0)
         rows = rng.normal(size=(2, 3))
         return [
-            WriteOp("ingest", ["a", "b"], rows=rows, value_fps=["f1", "f2"]),
+            WriteOp("ingest", ["a", "b"], rows=rows),
             WriteOp("evict", ["a"]),
         ]
+
+    @staticmethod
+    def _logged_ids(path):
+        return [[op.ids[0] for op in batch] for batch in GemOpLog(path).replay()]
 
     def test_append_replay_round_trip_bit_exact(self, tmp_path):
         ops = self._ops()
@@ -555,7 +594,7 @@ class TestOpLog:
         batches = GemOpLog(tmp_path / "wal").replay()
         assert [len(b) for b in batches] == [1, 1]
         got = batches[0][0]
-        assert (got.kind, got.ids, got.value_fps) == ("ingest", ["a", "b"], ["f1", "f2"])
+        assert (got.kind, got.ids) == ("ingest", ["a", "b"])
         assert got.rows.dtype == ops[0].rows.dtype
         assert np.array_equal(got.rows, ops[0].rows)
         assert batches[1][0].kind == "evict"
@@ -590,6 +629,97 @@ class TestOpLog:
         log2.append([])  # empty batch: no record
         log2.close()
         assert GemOpLog(tmp_path / "wal").replay() == []
+
+    def test_record_from_older_versions_with_value_hashes_replays(self, tmp_path):
+        # Older versions wrote a per-row content hash into each ingest op.
+        # The frame is built here byte for byte, so the test pins the
+        # on-disk format rather than the current encoder.
+        import base64
+        import hashlib
+        import json
+        import struct
+
+        rows = np.arange(6, dtype=np.float64).reshape(2, 3)
+        encoded = {
+            "dtype": rows.dtype.str,
+            "shape": list(rows.shape),
+            "b64": base64.b64encode(rows.tobytes()).decode("ascii"),
+        }
+        ingest = {"kind": "ingest", "ids": ["a", "b"], "rows": encoded, "value_fps": ["f1", "f2"]}
+        evict = {"kind": "evict", "ids": ["a"]}
+        body = json.dumps({"ops": [ingest, evict]}).encode("utf-8")
+        digest = hashlib.blake2b(body, digest_size=8).digest()
+        (tmp_path / "wal").write_bytes(struct.pack("<I", len(body)) + digest + body)
+        (batch,) = GemOpLog(tmp_path / "wal").replay()
+        assert [(op.kind, op.ids) for op in batch] == [("ingest", ["a", "b"]), ("evict", ["a"])]
+        assert np.array_equal(batch[0].rows, rows)
+
+    @staticmethod
+    def _half_writing(log):
+        """Wrap the log's open handle: the next write puts down half its
+        frame, then fails as a full disk does; later writes pass through."""
+        import errno
+
+        real = log._fh
+
+        class HalfWrite:
+            armed = True
+
+            def write(self, data):
+                if HalfWrite.armed:
+                    HalfWrite.armed = False
+                    real.write(bytes(data[: len(data) // 2]))
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return real.write(data)
+
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+        log._fh = HalfWrite()
+        return real
+
+    def test_failed_append_is_cut_back_so_later_batches_replay(self, tmp_path):
+        # A failed append's callers are never acknowledged, but the batch
+        # appended after it is: its half frame must not hide that batch.
+        log = GemOpLog(tmp_path / "wal")
+        log.append([WriteOp("evict", ["c0"])])
+        real = self._half_writing(log)
+        try:
+            with pytest.raises(OSError):
+                log.append([WriteOp("evict", ["c1"])])
+            log.append([WriteOp("evict", ["c2"])])
+        finally:
+            log._fh = real
+            log.close()
+        assert self._logged_ids(tmp_path / "wal") == [["c0"], ["c2"]]
+
+    def test_append_refused_after_a_failed_cut_until_truncate(self, tmp_path, monkeypatch):
+        import errno
+
+        from repro.serve import oplog as oplog_mod
+
+        def failing_ftruncate(fd, length):
+            raise OSError(errno.EIO, "Input/output error")
+
+        log = GemOpLog(tmp_path / "wal")
+        log.append([WriteOp("evict", ["c0"])])
+        real = self._half_writing(log)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(oplog_mod.os, "ftruncate", failing_ftruncate)
+                with pytest.raises(OSError, match="No space"):
+                    log.append([WriteOp("evict", ["c1"])])
+            # The torn frame is still there, so nothing may be appended
+            # (and acknowledged) behind it.
+            with pytest.raises(OSError, match="truncate"):
+                log.append([WriteOp("evict", ["c2"])])
+            assert self._logged_ids(tmp_path / "wal") == [["c0"]]
+            log.truncate()
+            log.append([WriteOp("evict", ["c3"])])
+        finally:
+            log._fh = real
+            log.close()
+        assert self._logged_ids(tmp_path / "wal") == [["c3"]]
 
     def test_close_during_append_defers_until_fsync_completes(
         self, tmp_path, monkeypatch
@@ -682,7 +812,7 @@ class TestCrashRecovery:
         # holding ops the archive already contains; replay must skip them.
         stale = GemOpLog(wal)
         rows = np.zeros((1, fitted.embedding_dim))
-        stale.append([WriteOp("ingest", ["ck:a"], rows=rows, value_fps=["fp"])])
+        stale.append([WriteOp("ingest", ["ck:a"], rows=rows)])
         stale.close()
         recovered = GemService.from_archives(gem_path, index_path, oplog=wal)
         try:
