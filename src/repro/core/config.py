@@ -2,14 +2,15 @@
 
 Defaults follow the paper's parameter setting (§4.1.4): 50 Gaussian
 components, EM tolerance 1e-3, 10 EM restarts. The extra switches expose the
-design choices DESIGN.md calls out for ablation (signature kind,
+design choices the ablation experiments vary (signature kind,
 normalisation, stacked-vs-per-column fitting, value transform).
 
 ``GemConfig`` holds what fits and embeds; each downstream setting has one
 owner elsewhere. Index settings (backend, probe width, storage dtype, PQ
 codebooks) are :class:`~repro.index.GemIndex` arguments, and serving policy
 (batching, deadlines, admission) is :class:`~repro.serve.GemService`
-arguments.
+arguments. The transform's chunk size is no setting at all: every transform
+scores fixed chunks of the fit's size (:mod:`repro.core.signature`).
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ _COMPOSITIONS = ("concatenation", "aggregation", "autoencoder")
 # Keys that archives and manifests written by older versions still carry
 # (the serving policy that moved to GemService, the index settings that
 # moved to GemIndex, the removed fit-engine switch, warm-started BIC sweep
-# and per-column thread count, and the fit chunk size, now only a
-# GaussianMixture argument); none is part of the model fingerprint, so
-# they are dropped on read without a warning.
+# and per-column thread count, the fit chunk size, now only a
+# GaussianMixture argument, and the transform chunk size, now fixed); none
+# is part of the model fingerprint, so they are dropped on read without a
+# warning.
 _RETIRED_KEYS = frozenset(
     {
+        "batch_size",
         "fit_batch_size",
         "fit_engine",
         "index_backend",
@@ -98,12 +101,6 @@ class GemConfig:
     fit_mode:
         ``"stacked"`` fits one GMM on all values (paper §3.2);
         ``"per_column"`` fits a small GMM per column (ablation).
-    batch_size:
-        Maximum number of stacked values scored per chunk on the transform
-        path. ``None`` (default) scores the whole stack in one pass; any
-        positive value bounds peak responsibility-matrix memory at
-        ``batch_size * n_components`` floats regardless of corpus size. The
-        chunked and unchunked paths agree to machine precision.
     cache_signatures:
         Memoise pooled signature rows by column content hash, so columns
         repeated within a corpus or across ``transform`` calls are scored
@@ -148,7 +145,6 @@ class GemConfig:
     signature_kind: str = "responsibility"
     normalization: str = "l1"
     fit_mode: str = "stacked"
-    batch_size: int | None = None
     cache_signatures: bool = True
     value_transform: str = "none"
     composition: str = "concatenation"
@@ -186,8 +182,6 @@ class GemConfig:
             )
         if self.fit_mode not in _FIT_MODES:
             raise ValueError(f"fit_mode must be one of {_FIT_MODES}, got {self.fit_mode!r}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be None or >= 1, got {self.batch_size}")
         if self.value_transform not in _VALUE_TRANSFORMS:
             raise ValueError(
                 f"value_transform must be one of {_VALUE_TRANSFORMS}, got {self.value_transform!r}"
@@ -234,8 +228,8 @@ class GemConfig:
         Retired keys — the ``serve_*`` serving policy (now
         :class:`~repro.serve.GemService` arguments), the ``index_*``
         settings (now :class:`~repro.index.GemIndex` arguments) and the
-        removed fit-engine, warm-start, thread-count and fit-chunk
-        switches — are dropped silently.
+        removed fit-engine, warm-start, thread-count, fit-chunk and
+        transform-chunk switches — are dropped silently.
         Field values are re-validated by ``__post_init__``, so a
         hand-edited manifest cannot smuggle in an invalid configuration.
         """

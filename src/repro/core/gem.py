@@ -346,9 +346,10 @@ class GemEmbedder:
     def mean_probabilities(self, corpus: ColumnCorpus) -> np.ndarray:
         """Raw mean component probabilities per column (pre-normalisation).
 
-        Scoring streams over ``config.batch_size``-value chunks and, with
-        ``config.cache_signatures``, memoises rows by column content hash so
-        repeated columns in a lake are scored once.
+        Scoring streams over fixed column-aligned chunks
+        (:func:`~repro.core.signature.mean_component_probabilities`) and,
+        with ``config.cache_signatures``, memoises rows by column content
+        hash so repeated columns in a lake are scored once.
         """
         self._check_fitted()
         cfg = self.config
@@ -358,9 +359,7 @@ class GemEmbedder:
         assert self.gmm_ is not None
         if self._signature_cache is None:
             values = [self._apply_value_transform(c.values) for c in corpus]
-            return mean_component_probabilities(
-                self.gmm_, values, kind=cfg.signature_kind, batch_size=cfg.batch_size
-            )
+            return mean_component_probabilities(self.gmm_, values, kind=cfg.signature_kind)
         for i, c in enumerate(corpus):
             # Checked here so the error names the corpus index even when
             # only a subset of columns reaches the scorer below.
@@ -382,9 +381,7 @@ class GemEmbedder:
             values = [
                 self._apply_value_transform(corpus[i].values) for i in to_score.values()
             ]
-            fresh = mean_component_probabilities(
-                self.gmm_, values, kind=cfg.signature_kind, batch_size=cfg.batch_size
-            )
+            fresh = mean_component_probabilities(self.gmm_, values, kind=cfg.signature_kind)
             for key, row in zip(to_score, fresh):
                 self._signature_cache.put(key, row)
                 fresh_rows[key] = row

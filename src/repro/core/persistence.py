@@ -5,13 +5,12 @@ parameters + feature standardisation + frozen balance statistics +
 config); deployments fit once over a data lake and embed new columns
 later. ``save_gem`` / ``load_gem`` round-trip everything through a single
 ``.npz`` archive (config as embedded JSON, arrays natively). The
-transform-engine knobs (``batch_size``, ``cache_signatures``) and the EM
-settings travel with the config, so a reloaded embedder transforms with
-the same memory profile and refits the same way; the signature cache
-itself is transient and starts empty on load. ``load_gem`` refuses an
-archive without a content checksum (:exc:`CorruptArchiveError`) and a
-stacked-mode archive without the frozen balance statistics its config
-needs (:exc:`ValueError`).
+transform-engine knob ``cache_signatures`` and the EM settings travel with
+the config, so a reloaded embedder caches and refits the same way; the
+signature cache itself is transient and starts empty on load.
+``load_gem`` refuses an archive without a content checksum
+(:exc:`CorruptArchiveError`) and a stacked-mode archive without the
+frozen balance statistics its config needs (:exc:`ValueError`).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from repro.core.gem import GemEmbedder, _balance_structure
 from repro.gmm.model import GaussianMixture
 
 # Config fields that change what a fitted embedder outputs at transform
-# time. Engine/fit-time knobs (batch_size, cache_signatures, n_init, …) are
+# time. Engine/fit-time knobs (cache_signatures, n_init, …) are
 # deliberately absent: they shape *how* the frozen parameters below were
 # obtained or are applied, not the embedding space itself, so two embedders
 # differing only in those serve interchangeable rows. Exception: under
@@ -369,8 +368,7 @@ def load_gem(path: str | Path) -> GemEmbedder:
     # this version lacks (or miss ones it has); from_manifest_dict drops
     # unknown keys with a warning — not silently, a typo'd hand-edited
     # key must be noticed — and missing ones fall back to the dataclass
-    # defaults, so batching knobs like batch_size/cache_signatures
-    # round-trip when present.
+    # defaults, so knobs like cache_signatures round-trip when present.
     config = GemConfig.from_manifest_dict(cfg_dict)
     if config.fit_mode == "stacked":
         joint, multi = _balance_structure(config)

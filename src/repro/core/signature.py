@@ -10,6 +10,11 @@ has. Two pooling variants are exposed:
 * ``pdf``: average the raw component densities ``p(x | mu_j, Sigma_j)``
   (Eq. 6) — the ablation alternative, sensitive to absolute density scale.
 
+Scoring has one path: column-aligned chunks of ``FitPlan.DEFAULT_BATCH``
+values (the fit's chunk size) through the fit's own E-step kernel, so a
+transform's memory is bounded whatever the corpus size and a column's row
+is bit-identical alone or inside any batch.
+
 The signature is then augmented with standardised statistical features
 (Eq. 8) and L1-normalised (Eq. 9).
 """
@@ -18,9 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gmm.model import GaussianMixture
+from repro.gmm.model import FitPlan, GaussianMixture
 from repro.utils.preprocessing import l1_normalize, l2_normalize
-from repro.utils.validation import check_array_2d
+from repro.utils.validation import check_array_2d, check_positive_int
 
 
 def column_offsets(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -42,7 +47,7 @@ def column_offsets(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return sizes, offsets
 
 
-def column_chunks(offsets: np.ndarray, batch_size: int | None):
+def column_chunks(offsets: np.ndarray, batch_size: int):
     """Column-aligned chunk slices over a stacked value array.
 
     Yields ``slice`` objects covering ``[0, offsets[-1])`` such that every
@@ -55,13 +60,7 @@ def column_chunks(offsets: np.ndarray, batch_size: int | None):
     is scored alone or inside any batch. This composition invariance is
     what lets the serving layer (:mod:`repro.serve`) coalesce many small
     transform requests into one vectorised pass with bit-identical results.
-
-    ``batch_size=None`` yields the whole stack as one chunk.
     """
-    total = int(offsets[-1])
-    if batch_size is None:
-        yield slice(0, total)
-        return
     n_cols = len(offsets) - 1
     i = 0
     while i < n_cols:
@@ -86,22 +85,23 @@ def mean_component_probabilities(
     columns: list[np.ndarray],
     *,
     kind: str = "responsibility",
-    batch_size: int | None = None,
+    batch_size: int = FitPlan.DEFAULT_BATCH,
 ) -> np.ndarray:
     """Mean per-component probability vector for every column.
 
     The per-value probabilities are pooled with a vectorised segment
     reduction (``np.add.reduceat`` over the column offsets) fused with the
-    chunked scorer: with ``batch_size`` set, only one
-    ``(batch_size, n_components)`` block of responsibilities is live at a
-    time, so peak memory is bounded no matter how many values the corpus
-    stacks. Chunks are column-aligned (:func:`column_chunks`), so a
+    chunked scorer: only one ``(batch_size, n_components)`` block of
+    responsibilities is live at a time, so peak memory is bounded no
+    matter how many values the corpus stacks. The transform always chunks,
+    at the fit's chunk size ``FitPlan.DEFAULT_BATCH`` (2,048 values) unless
+    told otherwise. Chunks are column-aligned (:func:`column_chunks`), so a
     column's pooled row is **bit-identical whether it is scored alone or
     inside any batch** — scoring is row-wise and each column's values are
     summed in chunks determined only by its own length. Columns no longer
-    than ``batch_size`` additionally match the unchunked pass bitwise; a
-    column split across chunks matches it to machine precision (the
-    partial sums associate differently).
+    than ``batch_size`` match a one-chunk pass bitwise; a column split
+    across chunks matches it to machine precision (the partial sums
+    associate differently).
 
     Parameters
     ----------
@@ -112,8 +112,7 @@ def mean_component_probabilities(
     kind:
         ``"responsibility"`` or ``"pdf"`` (see module docstring).
     batch_size:
-        Maximum number of values scored per chunk; ``None`` scores the whole
-        stack in one pass.
+        Maximum number of values scored per chunk, a positive integer.
 
     Returns
     -------
@@ -121,6 +120,7 @@ def mean_component_probabilities(
     """
     if kind not in ("responsibility", "pdf"):
         raise ValueError(f"kind must be 'responsibility' or 'pdf', got {kind!r}")
+    batch_size = check_positive_int(batch_size, "batch_size")
     if not columns:
         raise ValueError("columns must not be empty")
     sizes, offsets = column_offsets(columns)

@@ -10,13 +10,16 @@ fully-tested implementation:
 * :class:`~repro.gmm.model.GaussianMixture` — 1-D GMM over the stacked
   column values, with a log-sum-exp-stabilised E-step, the M-step updates
   of Eqs. 3-5, ``n_init`` restart-vectorized restarts and a variance floor.
-  Inference (``predict_proba``, ``score_samples``, ``component_pdf``) is
-  row-wise, so the transform bounds its memory by scoring column-aligned
-  chunks (:func:`repro.core.signature.column_chunks`);
+  The E-step (Eq. 2) is one chunk kernel that the fit and inference
+  (``predict_proba``, ``score_samples``; ``component_pdf`` is its first
+  half) share. Inference is row-wise, so the transform bounds its memory
+  by scoring column-aligned chunks
+  (:func:`repro.core.signature.column_chunks`);
 * :class:`~repro.gmm.model.FitPlan` — the block-aligned chunking plan of
   the streaming fit engine (``GaussianMixture(fit_batch_size=...)``) over
   the distinct stacked values, whose reductions make chunked and unchunked
-  fits bit-identical;
+  fits bit-identical; its ``DEFAULT_BATCH`` (2,048 values) is also the
+  transform's one chunk size;
 * :func:`~repro.gmm.kmeans.seed_restarts_1d` — restart-batched 1-D seeding
   of the fit engine;
 * :func:`~repro.gmm.selection.select_n_components_bic` — the BIC sweep the

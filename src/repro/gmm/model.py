@@ -8,7 +8,8 @@ This is a direct implementation of the model in paper §3.1, fitted to the
 * M-step updates for ``mu_j``, ``sigma_j^2``, ``pi_j``                 (Eqs. 3-5)
 * component densities via the normal pdf                               (Eq. 6)
 
-Numerical care:
+Eq. 2 has one implementation, the chunk kernel :func:`_e_step`, which the
+fit's sweep and inference share. Numerical care:
 
 * per-component log densities go through a log-sum-exp reduction, so tiny
   likelihoods never underflow;
@@ -93,6 +94,65 @@ class FitPlan:
             yield slice(start, min(start + step, self.n_samples))
 
 
+def _e_step_params(weights: np.ndarray, means: np.ndarray, variances: np.ndarray) -> tuple:
+    """``(log_w, means, var, base)``: the ``(A, m)`` parameters of :func:`_e_step`."""
+    tiny = np.finfo(float).tiny
+    var = np.maximum(variances, tiny)
+    return np.log(np.maximum(weights, tiny)), means, var, _LOG_2PI + np.log(var)
+
+
+def _log_density(x: np.ndarray, params: tuple, sq: np.ndarray, out: np.ndarray) -> None:
+    """The first half of :func:`_e_step`: Eq. 6 in log space, into ``out``."""
+    _, means, var, base = params
+    np.subtract(x[:, None, None], means[None], out=sq)
+    np.multiply(sq, sq, out=sq)
+    np.divide(sq, var[None], out=out)
+    np.add(out, base[None], out=out)
+    out *= -0.5
+
+
+def _e_step(
+    x: np.ndarray, params: tuple, sq: np.ndarray, prob: np.ndarray, counts: np.ndarray | None = None
+) -> np.ndarray:
+    """Eq. 2 for a chunk of ``b`` values under ``A`` stacked parameter sets.
+
+    The one E-step: the fit's sweep passes the restart axis and per-value
+    counts, inference ``A = 1`` and no counts. ``params`` comes from
+    :func:`_e_step_params`; ``sq`` and ``prob`` are caller-owned ``(b, A,
+    m)`` buffers that receive the squared deviations and the
+    responsibilities (one ``exp`` pass, divided by its sum). Returns the
+    ``(b, A)`` log marginal likelihoods, times each value's count when
+    given. A value whose every density underflowed (a far outlier
+    overflows its squared deviation) gets ``-inf`` and the uniform
+    posterior ``1/m``, never NaN.
+    """
+    log_w = params[0]
+    with np.errstate(over="ignore", divide="ignore"):
+        _log_density(x, params, sq, prob)
+        prob += log_w[None]
+        amax = np.max(prob, axis=2, keepdims=True)
+        amax = np.where(np.isfinite(amax), amax, 0.0)
+        prob -= amax
+        np.exp(prob, out=prob)
+        sumexp = prob.sum(axis=2, keepdims=True)
+        degenerate = ~(sumexp[..., 0] > 0)
+        any_degenerate = bool(np.any(degenerate))
+        if any_degenerate:
+            prob[degenerate] = 1.0
+            sumexp[degenerate] = float(log_w.shape[1])
+        log_norm = np.log(sumexp[..., 0]) + amax[..., 0]
+        if any_degenerate:
+            log_norm[degenerate] = -np.inf
+        if counts is not None:
+            # Weight each distinct value by its multiplicity inside the
+            # normalising divide: (b, A, 1) work, where scaling the
+            # (b, A, m) responsibilities would cost a full extra pass.
+            sumexp /= counts[:, None, None]
+            log_norm *= counts[:, None]
+        prob /= sumexp
+    return log_norm
+
+
 def _block_accumulate(acc: np.ndarray, chunk: np.ndarray) -> None:
     """``acc += chunk.sum(axis=0)`` accumulated in fixed-size row blocks.
 
@@ -128,8 +188,7 @@ class _BatchedEM:
     converges are compressed out of the stacked arrays and stop
     contributing compute.
 
-    The E-step is the log-sum-exp of :meth:`GaussianMixture._e_step`, with
-    its uniform-posterior fallback for fully-underflowed rows; the second
+    The E-step is :func:`_e_step`, shared with inference; the second
     moment is accumulated around the *current* means ``c`` — reusing the
     squared deviations the E-step already computed — and the M-step recovers
     the exact centred variance via ``S2c/nk - (mu_new - c)^2``, which avoids
@@ -266,14 +325,11 @@ class _BatchedEM:
         temporaries are reused across chunks.
         """
         A, m = weights.shape
-        tiny = np.finfo(float).tiny
         nk = np.zeros((A, m))
         s1 = np.zeros((A, m))
         s2 = np.zeros((A, m))
         ll = np.zeros(A)
-        var = np.maximum(variances, tiny)
-        log_w = np.log(np.maximum(weights, tiny))
-        base = _LOG_2PI + np.log(var)
+        params = _e_step_params(weights, means, variances)
         width = self.plan.effective_batch_size
         sq = np.empty((width, A, m))
         prob = np.empty((width, A, m))
@@ -282,35 +338,7 @@ class _BatchedEM:
             xc, cc = self.values[rows], self.counts[rows]
             b = xc.size
             sq_b, prob_b, tmp_b = sq[:b], prob[:b], tmp[:b]
-            with np.errstate(over="ignore", divide="ignore"):
-                np.subtract(xc[:, None, None], means[None], out=tmp_b)
-                np.multiply(tmp_b, tmp_b, out=sq_b)
-                np.divide(sq_b, var[None], out=prob_b)
-                np.add(prob_b, base[None], out=prob_b)
-                prob_b *= -0.5
-                prob_b += log_w[None]
-                amax = np.max(prob_b, axis=2, keepdims=True)
-                amax = np.where(np.isfinite(amax), amax, 0.0)
-                prob_b -= amax
-                np.exp(prob_b, out=prob_b)
-                sumexp = prob_b.sum(axis=2, keepdims=True)
-                degenerate = ~(sumexp[..., 0] > 0)
-                any_degenerate = bool(np.any(degenerate))
-                if any_degenerate:
-                    # Marginal likelihood underflowed for these rows: report
-                    # log p(x) = -inf but keep the posterior usable with the
-                    # uniform fallback (mirrors GaussianMixture._e_step).
-                    prob_b[degenerate] = 1.0
-                    sumexp[degenerate] = float(m)
-                log_norm = np.log(sumexp[..., 0]) + amax[..., 0]
-                if any_degenerate:
-                    log_norm[degenerate] = -np.inf
-                # Weight each distinct value by its multiplicity inside the
-                # normalising divide: (B, A, 1) work, where scaling the
-                # (B, A, m) responsibilities would cost a full extra pass.
-                sumexp /= cc[:, None, None]
-                log_norm *= cc[:, None]
-                prob_b /= sumexp
+            log_norm = _e_step(xc, params, sq_b, prob_b, cc)
             _block_accumulate(nk, prob_b)
             np.multiply(prob_b, xc[:, None, None], out=tmp_b)
             _block_accumulate(s1, tmp_b)
@@ -541,95 +569,47 @@ class GaussianMixture:
             batch_size=self.fit_batch_size,
         )
 
-    # ------------------------------------------------------------ EM pieces
-
-    def _e_step(
-        self,
-        X: np.ndarray,
-        weights: np.ndarray,
-        means: np.ndarray,
-        covariances: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Return (log responsibilities, per-sample log marginal likelihood)."""
-        weighted = self._log_weighted_prob(X, weights, means, covariances)
-        # In-place log-sum-exp: `weighted` becomes the log responsibilities.
-        # Guard amax: a row whose every component log-density underflowed
-        # to -inf (an extreme outlier at transform time) would otherwise
-        # propagate inf - inf = NaN.
-        amax = np.max(weighted, axis=1, keepdims=True)
-        amax = np.where(np.isfinite(amax), amax, 0.0)
-        np.subtract(weighted, amax, out=weighted)
-        sumexp = np.sum(np.exp(weighted), axis=1, keepdims=True)
-        degenerate = ~(sumexp[:, 0] > 0)
-        if np.any(degenerate):
-            # The marginal likelihood is below the smallest representable
-            # float: report log p(x) = -inf but keep the posterior usable by
-            # falling back to the uniform distribution over components.
-            weighted[degenerate, :] = 0.0
-            sumexp[degenerate] = float(weighted.shape[1])
-        log_sum = np.log(sumexp)
-        log_norm = (log_sum + amax).ravel()
-        if np.any(degenerate):
-            log_norm[degenerate] = -np.inf
-        np.subtract(weighted, log_sum, out=weighted)
-        return weighted, log_norm
-
-    @staticmethod
-    def _log_gaussian_prob(X: np.ndarray, means: np.ndarray, covariances: np.ndarray) -> np.ndarray:
-        """Eq. 6 in log space for every (sample, component) pair.
-
-        Vectorised over components. An extreme outlier overflows diff**2
-        to inf, which is the correct -inf log-density; the E-step guards
-        that case, so the overflow warning is noise.
-        """
-        var = np.maximum(covariances[:, 0, 0], np.finfo(float).tiny)
-        diff = X[:, 0][:, None] - means[:, 0][None, :]
-        with np.errstate(over="ignore"):
-            return -0.5 * (_LOG_2PI + np.log(var)[None, :] + diff**2 / var[None, :])
-
-    def _log_weighted_prob(
-        self,
-        X: np.ndarray,
-        weights: np.ndarray,
-        means: np.ndarray,
-        covariances: np.ndarray,
-    ) -> np.ndarray:
-        log_weights = np.log(np.maximum(weights, np.finfo(float).tiny))
-        return self._log_gaussian_prob(X, means, covariances) + log_weights
-
     # ------------------------------------------------------------- inference
 
+    def _kernel_inputs(self, X: np.ndarray) -> tuple:
+        """``X``'s values, the fitted kernel parameters and two ``(n, 1, m)``
+        buffers: inference is :func:`_e_step` with ``A = 1``."""
+        check_fitted(self, "means_")
+        x = self._check_X(X)[:, 0]
+        w, mu, var = self.weights_, self.means_[:, 0], self.covariances_[:, 0, 0]
+        shape = (x.size, 1, mu.size)
+        return x, _e_step_params(w[None], mu[None], var[None]), np.empty(shape), np.empty(shape)
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Posterior responsibilities gamma(z_nj) for each sample (Eq. 2).
+        """Posterior responsibilities gamma(z_nj) for each sample (Eq. 2),
+        from the fit's own E-step kernel.
 
         Row-wise: scoring a slice of ``X`` equals slicing the scores of
         ``X``, bit for bit, so callers bound memory by chunking the rows
         they pass (the transform's column chunks,
         :func:`repro.core.signature.column_chunks`).
         """
-        check_fitted(self, "means_")
-        X = self._check_X(X)
-        log_resp, _ = self._e_step(X, self.weights_, self.means_, self.covariances_)
-        return np.exp(log_resp, out=log_resp)
+        x, params, sq, prob = self._kernel_inputs(X)
+        _e_step(x, params, sq, prob)
+        return prob.reshape(x.size, -1)
 
     def score_samples(self, X: np.ndarray) -> np.ndarray:
         """Per-sample log marginal likelihood ``log p(x)`` (row-wise, like
         :meth:`predict_proba`)."""
-        check_fitted(self, "means_")
-        X = self._check_X(X)
-        _, log_norm = self._e_step(X, self.weights_, self.means_, self.covariances_)
-        return log_norm
+        x, params, sq, prob = self._kernel_inputs(X)
+        return _e_step(x, params, sq, prob)[:, 0]
 
     def component_pdf(self, X: np.ndarray) -> np.ndarray:
         """Unweighted per-component densities ``p(x | mu_j, sigma_j^2)`` (Eq. 6).
 
         The paper's signature mechanism ablation compares pooling these raw
-        densities against pooling posteriors; both are exposed. Row-wise,
-        like :meth:`predict_proba`.
+        densities against pooling posteriors; both are exposed. The first
+        half of the E-step kernel; row-wise, like :meth:`predict_proba`.
         """
-        check_fitted(self, "means_")
-        X = self._check_X(X)
-        return np.exp(self._log_gaussian_prob(X, self.means_, self.covariances_))
+        x, params, sq, prob = self._kernel_inputs(X)
+        with np.errstate(over="ignore"):
+            _log_density(x, params, sq, prob)
+        return np.exp(prob, out=prob).reshape(x.size, -1)
 
     # ----------------------------------------------------- model selection
 

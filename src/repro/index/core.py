@@ -758,6 +758,11 @@ class GemIndex:
         rows = self._embedder.transform(corpus)
         exclude_ids = None
         if exclude_self and rows.shape[0] == len(self):
+            # Train before comparing: training a pq index with pq_rerank=0
+            # releases its rows, so the answer must not depend on whether
+            # an earlier search already trained it.
+            if self.needs_training:
+                self.train()
             if np.array_equal(rows.astype(self.dtype, copy=False), self.vectors()):
                 exclude_ids = list(self.ids)
         return self.search(rows, k, exclude_ids=exclude_ids)

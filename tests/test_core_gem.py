@@ -1,12 +1,16 @@
 """Tests for GemEmbedder and GemConfig: the end-to-end paper pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core import GemConfig, GemEmbedder
+from repro.core import GemConfig, GemEmbedder, signature
 from repro.core.gem import log_squash
+from repro.core.signature import mean_component_probabilities
 from repro.data.table import ColumnCorpus, NumericColumn
 from repro.evaluation import average_precision_at_k
+from repro.gmm import FitPlan
 from repro.index import GemIndex
 from repro.serve import GemService
 
@@ -24,8 +28,8 @@ INDEX_ARGS = {
     "index_backend": "backend",
     "index_dtype": "dtype",
 }
-# Retired GemConfig fields that nothing replaced.
-RETIRED_FIELDS = {"n_workers"}
+# Retired GemConfig fields that no setting replaced.
+RETIRED_FIELDS = {"n_workers", "batch_size"}
 
 
 @pytest.fixture(scope="module")
@@ -224,17 +228,32 @@ class TestCompositions:
 
 class TestBatchedTransform:
     @pytest.mark.parametrize("batch_size", [1, 16, 200, None])
-    def test_batch_size_does_not_change_embeddings(self, tiny_corpus_module, batch_size):
-        base = GemEmbedder(config=GemConfig.fast(**FAST)).fit_transform(tiny_corpus_module)
-        batched = GemEmbedder(
-            config=GemConfig.fast(**FAST, batch_size=batch_size, cache_signatures=False)
-        ).fit_transform(tiny_corpus_module)
-        assert np.allclose(batched, base, atol=1e-10, rtol=0)
+    def test_batch_size_does_not_change_embeddings(self, fitted, tiny_corpus_module, batch_size):
+        # The transform's distributional block, pooled at the fixed chunk
+        # size, equals pooling at any other chunk size or in one chunk
+        # holding the whole stack (None).
+        values = [c.values for c in tiny_corpus_module]
+        if batch_size is None:
+            batch_size = sum(v.size for v in values)
+        pooled = mean_component_probabilities(fitted.gmm_, values, batch_size=batch_size)
+        block = fitted.mean_probabilities(tiny_corpus_module)
+        assert np.allclose(pooled, block, atol=1e-10, rtol=0)
 
-    def test_batch_size_threaded_from_config(self, tiny_corpus_module):
-        gem = GemEmbedder(config=GemConfig.fast(**FAST, batch_size=32))
-        assert gem.config.batch_size == 32
-        emb = gem.fit_transform(tiny_corpus_module)
+    def test_transform_chunks_at_the_fit_chunk_size(self, tiny_corpus_module, monkeypatch):
+        # No option chooses the transform's chunk size: it is the fit's.
+        assert "batch_size" not in {f.name for f in dataclasses.fields(GemConfig)}
+        gem = GemEmbedder(config=GemConfig.fast(**FAST, cache_signatures=False))
+        gem.fit(tiny_corpus_module)
+        seen = []
+        chunks = signature.column_chunks
+
+        def spy(offsets, batch_size):
+            seen.append(batch_size)
+            return chunks(offsets, batch_size)
+
+        monkeypatch.setattr(signature, "column_chunks", spy)
+        emb = gem.transform(tiny_corpus_module)
+        assert seen == [FitPlan.DEFAULT_BATCH]
         assert np.all(np.isfinite(emb))
 
     def test_all_blocks_disabled_raises_clear_error(self, fitted, tiny_corpus_module):

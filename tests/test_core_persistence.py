@@ -111,24 +111,21 @@ class TestRoundtrip:
 
 class TestBatchingFieldsRoundtrip:
     def test_batching_knobs_survive(self, tiny_corpus, tmp_path):
-        cfg = GemConfig.fast(
-            n_components=6,
-            n_init=1,
-            batch_size=128,
-            cache_signatures=False,
-        )
+        # cache_signatures is the transform's one remaining knob; the chunk
+        # size is fixed, so no batching field is left to persist.
+        cfg = GemConfig.fast(n_components=6, n_init=1, cache_signatures=False)
         gem = GemEmbedder(config=cfg)
         gem.fit(tiny_corpus)
         path = tmp_path / "gem.npz"
         save_gem(gem, path)
         restored = load_gem(path)
         assert restored.config == cfg
-        assert restored.config.batch_size == 128
         assert restored.config.cache_signatures is False
         assert restored._signature_cache is None
 
     def test_chunked_transform_bit_identical_after_reload(self, tiny_corpus, tmp_path):
-        cfg = GemConfig.fast(n_components=6, n_init=1, batch_size=17)
+        # Every transform chunks; a reloaded model's rows are bit-identical.
+        cfg = GemConfig.fast(n_components=6, n_init=1)
         gem = GemEmbedder(config=cfg)
         gem.fit(tiny_corpus)
         original = gem.transform(tiny_corpus)
@@ -163,6 +160,7 @@ class TestBatchingFieldsRoundtrip:
         # these keys; they load without a warning, while any other unknown
         # key still warns.
         retired = dict(
+            batch_size=4096,
             fit_engine="serial",
             warm_start_bic=True,
             n_workers=3,
@@ -198,12 +196,14 @@ class TestBatchingFieldsRoundtrip:
         path = tmp_path / "gem.npz"
         save_gem(gem, path)
         # Rewrite the embedded config as an older version would have
-        # written it: no batching keys, plus a key this version never had.
+        # written it: no cache switch or BIC candidates, the retired
+        # transform chunk size, plus a key this version never had.
         with np.load(path) as payload:
             arrays = {k: payload[k] for k in payload.files}
         cfg_dict = json.loads(bytes(arrays["config_json"]).decode("utf-8"))
-        for key in ("batch_size", "cache_signatures", "bic_candidates"):
+        for key in ("cache_signatures", "bic_candidates"):
             cfg_dict.pop(key)
+        cfg_dict["batch_size"] = None
         cfg_dict["retired_future_knob"] = 42
         arrays["config_json"] = np.frombuffer(json.dumps(cfg_dict).encode("utf-8"), dtype=np.uint8)
         # Re-sign the edited payload: read_archive refuses an archive whose
@@ -211,10 +211,10 @@ class TestBatchingFieldsRoundtrip:
         arrays.pop("__checksum__")
         arrays["__checksum__"] = json_to_array(archive_checksum(arrays))
         np.savez(path, **arrays)
-        with pytest.warns(RuntimeWarning, match="retired_future_knob"):
+        with pytest.warns(RuntimeWarning, match="retired_future_knob") as caught:
             restored = load_gem(path)
-        assert restored.config.batch_size is None  # dataclass default
-        assert restored.config.cache_signatures is True
+        assert all("batch_size" not in str(w.message) for w in caught)
+        assert restored.config.cache_signatures is True  # dataclass default
         assert np.allclose(restored.transform(tiny_corpus), gem.transform(tiny_corpus))
 
 

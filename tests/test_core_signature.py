@@ -9,7 +9,7 @@ from repro.core.signature import (
     mean_component_probabilities,
     signature_matrix,
 )
-from repro.gmm import GaussianMixture
+from repro.gmm import FitPlan, GaussianMixture
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,8 @@ class TestBatchedPooling:
     @pytest.mark.parametrize("batch_size", [1, 2, 17, 256, 100_000])
     @pytest.mark.parametrize("kind", ["responsibility", "pdf"])
     def test_chunked_pooling_matches_unchunked(self, fitted_gmm, columns, batch_size, kind):
-        full = mean_component_probabilities(fitted_gmm, columns, kind=kind)
+        total = sum(c.size for c in columns)
+        full = mean_component_probabilities(fitted_gmm, columns, kind=kind, batch_size=total)
         chunked = mean_component_probabilities(
             fitted_gmm, columns, kind=kind, batch_size=batch_size
         )
@@ -118,16 +119,40 @@ class TestBatchedPooling:
         # The serve micro-batcher coalesces many small transform requests
         # into one pass; results must be *bit-identical* to solo calls.
         # Chunks are column-aligned, so a column's pooled row depends only
-        # on its own values, whatever else shares the stack.
-        combined = mean_component_probabilities(fitted_gmm, columns, batch_size=batch_size)
+        # on its own values, whatever else shares the stack. None: the
+        # transform's default chunk.
+        chunk = {} if batch_size is None else {"batch_size": batch_size}
+        combined = mean_component_probabilities(fitted_gmm, columns, **chunk)
         for i in (0, 3, len(columns) - 1):
-            solo = mean_component_probabilities(fitted_gmm, [columns[i]], batch_size=batch_size)
+            solo = mean_component_probabilities(fitted_gmm, [columns[i]], **chunk)
             assert np.array_equal(solo[0], combined[i])
         perm = list(reversed(range(len(columns))))
-        permuted = mean_component_probabilities(
-            fitted_gmm, [columns[i] for i in perm], batch_size=batch_size
-        )
+        permuted = mean_component_probabilities(fitted_gmm, [columns[i] for i in perm], **chunk)
         assert np.array_equal(permuted, combined[perm])
+
+    @pytest.mark.parametrize("kind", ["responsibility", "pdf"])
+    def test_long_column_pools_alike_alone_and_in_a_batch(self, fitted_gmm, columns, kind):
+        # At the default chunk a column longer than one chunk is split from
+        # its own start: its row is bitwise the same alone or inside a
+        # batch, and within machine precision of a one-chunk pass.
+        long = np.random.default_rng(9).normal(25, 20, 3 * FitPlan.DEFAULT_BATCH + 7)
+        batch = columns[:5] + [long] + columns[5:]
+        alone = mean_component_probabilities(fitted_gmm, [long], kind=kind)
+        inside = mean_component_probabilities(fitted_gmm, batch, kind=kind)
+        assert np.array_equal(alone[0], inside[5])
+        one_chunk = mean_component_probabilities(
+            fitted_gmm, [long], kind=kind, batch_size=long.size
+        )
+        assert np.allclose(alone, one_chunk, atol=1e-15, rtol=0)
+
+    @pytest.mark.parametrize("bad", [-1, 0])
+    def test_nonpositive_batch_size_rejected(self, fitted_gmm, columns, bad):
+        with pytest.raises(ValueError, match="batch_size"):
+            mean_component_probabilities(fitted_gmm, columns, batch_size=bad)
+
+    def test_fractional_batch_size_rejected(self, fitted_gmm, columns):
+        with pytest.raises(TypeError, match="batch_size must be an integer"):
+            mean_component_probabilities(fitted_gmm, columns, batch_size=2.5)
 
 
 class TestColumnChunks:
@@ -149,8 +174,8 @@ class TestColumnChunks:
         assert [(c.stop - c.start) for c in alone] == [4, 4, 2]
         assert [(c.stop - c.start) for c in shifted[1:]] == [4, 4, 2]
 
-    def test_none_is_one_chunk(self):
-        chunks = list(column_chunks(np.array([0, 5, 8]), None))
+    def test_bound_covering_the_stack_is_one_chunk(self):
+        chunks = list(column_chunks(np.array([0, 5, 8]), 8))
         assert chunks == [slice(0, 8)]
 
 

@@ -112,6 +112,68 @@ class TestInference:
             GaussianMixture(2).predict_proba(np.zeros((2, 1)))
 
 
+def _two_exp_e_step(gm, X):
+    """Reference oracle: the former inference E-step, kept test-local.
+
+    Log densities, a guarded log-sum-exp, then a second ``exp`` to turn
+    log responsibilities into responsibilities. Returns (responsibilities,
+    log marginal likelihoods, component densities).
+    """
+    tiny = np.finfo(float).tiny
+    var = np.maximum(gm.covariances_[:, 0, 0], tiny)
+    diff = X[:, 0][:, None] - gm.means_[:, 0][None, :]
+    log_2pi = float(np.log(2.0 * np.pi))
+    with np.errstate(over="ignore"):
+        log_pdf = -0.5 * (log_2pi + np.log(var)[None, :] + diff**2 / var[None, :])
+    weighted = log_pdf + np.log(np.maximum(gm.weights_, tiny))
+    amax = np.max(weighted, axis=1, keepdims=True)
+    amax = np.where(np.isfinite(amax), amax, 0.0)
+    weighted -= amax
+    sumexp = np.sum(np.exp(weighted), axis=1, keepdims=True)
+    degenerate = ~(sumexp[:, 0] > 0)
+    weighted[degenerate, :] = 0.0
+    sumexp[degenerate] = float(weighted.shape[1])
+    log_sum = np.log(sumexp)
+    log_norm = (log_sum + amax).ravel()
+    log_norm[degenerate] = -np.inf
+    return np.exp(weighted - log_sum), log_norm, np.exp(log_pdf)
+
+
+class TestSharedEStep:
+    """Inference runs the fit's E-step kernel (one ``exp`` pass); the former
+    two-``exp`` inference E-step is the oracle it must agree with."""
+
+    @pytest.fixture(scope="class")
+    def scored(self):
+        rng = np.random.default_rng(21)
+        stack = np.concatenate(
+            [rng.normal(0, 1, 500), rng.normal(15, 3, 400), rng.lognormal(3, 1, 300)]
+        )
+        gm = GaussianMixture(12, n_init=2, random_state=0).fit(stack)
+        X = np.concatenate([[1e200, -1e200], rng.choice(stack, 3000), [-40.0, 1e4]])
+        X = X.reshape(-1, 1)
+        return gm, X, _two_exp_e_step(gm, X)
+
+    def test_predict_proba_within_ulps_of_oracle(self, scored):
+        gm, X, (resp, _, _) = scored
+        got = gm.predict_proba(X)
+        assert np.max(np.abs(got - resp)) <= 4e-16
+        assert np.allclose(got.sum(axis=1), 1.0, atol=1e-15, rtol=0)
+
+    def test_score_samples_bitwise_equal_to_oracle(self, scored):
+        gm, X, (_, log_norm, _) = scored
+        assert np.array_equal(gm.score_samples(X), log_norm)
+
+    def test_component_pdf_bitwise_equal_to_oracle(self, scored):
+        gm, X, (_, _, pdf) = scored
+        assert np.array_equal(gm.component_pdf(X), pdf)
+
+    def test_far_outliers_get_exactly_uniform_rows(self, scored):
+        gm, X, _ = scored
+        resp = gm.predict_proba(X[:2])
+        assert np.all(resp == 1.0 / gm.n_components)
+
+
 class TestChunkedInference:
     """Inference is row-wise: scoring a slice of the rows equals slicing the
     scores of all rows, bit for bit. The transform's column chunks

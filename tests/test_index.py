@@ -1033,6 +1033,19 @@ class TestEmbedderIntegration:
         assert np.array_equal(loose.positions, expected.positions)
         assert np.array_equal(loose.scores, expected.scores)
 
+    def test_search_corpus_on_fresh_codes_only_pq_answers_alike(self, fitted):
+        # A fresh pq index trains on its first search, and training a
+        # pq_rerank=0 index releases its rows. search_corpus trains before
+        # comparing rows, so two identical calls give the same answer.
+        corpus, gem, emb = fitted
+        index = gem.build_index(
+            corpus, backend="pq", n_lists=2, pq_subvectors=4, pq_codes=16, pq_rerank=0
+        )
+        assert index.needs_training
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="pq_rerank=0"):
+                index.search_corpus(corpus, 5)
+
     def test_archive_with_value_hashes_from_older_versions_loads(self, fitted, tmp_path):
         # Older versions stored a content hash per row in the index
         # archive. Such an archive still loads without a warning, and the
