@@ -1,30 +1,30 @@
-"""The gemlint engine: per-file AST walks, then a whole-project graph pass.
+"""The gemlint engine: one pass that reads, parses and tokenizes each file once.
 
-Analysis runs in two stages:
+For every file, the engine builds one :class:`FileContext` (source and
+tree) and runs both kinds of rule on it:
 
-* **per-file** — a :class:`Rule` declares the node types it wants
+* **per-file rules** — a :class:`Rule` declares the node types it wants
   (``node_types``) and yields :class:`Finding` objects from
-  :meth:`Rule.visit_node`; the engine parses each file once and
-  dispatches every node to every interested rule, so adding a rule never
-  adds a parse or a walk. This stage is embarrassingly parallel
-  (``jobs`` in :func:`analyze_project`).
-* **project graph** — a :class:`ProjectRule` receives one
-  :class:`~repro.analysis.graph.ProjectGraph` built over *all* analyzed
-  files (import graph, symbol tables, call graph) and checks
-  cross-module, flow-sensitive contracts: lock-order inversion, blocking
-  calls under locks, deadline propagation, resource leaks. Graph
-  findings may carry a cross-file witness ``trace``. This stage always
-  runs whole-project (a changed-files subset cannot see the other half
-  of a cross-module hazard) and is serial.
+  :meth:`Rule.visit_node`; one walk dispatches every node to every
+  interested rule, so adding a rule never adds a parse or a walk.
+* **project rules** — a :class:`ProjectRule` receives one
+  :class:`~repro.analysis.graph.ProjectGraph` built from the same trees
+  (import graph, symbol tables, call graph) and checks cross-module,
+  flow-sensitive contracts: lock-order inversion, blocking calls under
+  locks, deadline propagation, resource leaks. Graph findings may carry a
+  cross-file witness ``trace``. The graph always spans every analyzed
+  file: a changed-files subset cannot see the other half of a
+  cross-module hazard.
 
-Suppression is explicit and justified. A finding on line *L* is suppressed
-iff line *L* carries ``# gemlint: disable=<RULE>(<reason>)`` for its rule
-id **with a non-empty reason** — a bare ``disable=GEM-D01`` suppresses
-nothing and is itself reported (:data:`PRAGMA_RULE_ID`), and a pragma that
-suppresses no finding is reported as stale (:data:`UNUSED_PRAGMA_RULE_ID`)
-so suppressions cannot outlive the code they excused. Pragmas naming a
-project rule are applied by the project stage (against the finding's
-anchor line), never counted stale by the per-file stage.
+Same-line pragmas are the only way to excuse a finding. A finding on line
+*L* is suppressed iff line *L* carries ``# gemlint: disable=<RULE>(<reason>)``
+for its rule id **with a non-empty reason** — a bare ``disable=GEM-D01``
+suppresses nothing and is itself reported (:data:`PRAGMA_RULE_ID`), as is
+a pragma naming no registered rule, so a typo cannot hide. A pragma whose
+rule ran but suppressed nothing is reported as stale
+(:data:`UNUSED_PRAGMA_RULE_ID`), so suppressions cannot outlive the code
+they excused. Each file's pragmas are parsed once and applied once, to the
+findings of both kinds of rule.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Sequence
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (graph imports engine)
     from repro.analysis.graph import ProjectGraph
 
-#: Engine-level meta rules (reported like rule findings, baselinable).
-PRAGMA_RULE_ID = "GEM-P00"  # malformed pragma / missing reason
+#: Engine-level meta rules (reported like rule findings).
+PRAGMA_RULE_ID = "GEM-P00"  # malformed pragma / missing reason / unknown rule
 UNUSED_PRAGMA_RULE_ID = "GEM-P01"  # pragma that suppressed nothing
 
 _PRAGMA_RE = re.compile(r"#\s*gemlint:\s*disable=(?P<entries>.+)$")
@@ -50,29 +50,16 @@ _PRAGMA_ENTRY_RE = re.compile(r"(?P<rule>[A-Z]+-[A-Z0-9]+)\s*(?:\((?P<reason>[^)
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at a source location.
-
-    ``code`` is the stripped source line, the line-number-independent half
-    of the baseline matching key — baselined findings survive unrelated
-    edits above them.
-    """
+    """One rule violation at a source location."""
 
     rule: str
     path: str
     line: int
     col: int
     message: str
-    code: str = ""
     #: Optional cross-file witness trace (graph rules): each entry is one
     #: ``path:line: note`` hop explaining *how* the violation is reached.
-    #: Not part of the baseline key — a witness path may shift with
-    #: unrelated refactors while the violation itself is unchanged.
     trace: tuple[str, ...] = field(default=())
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        """Baseline matching key: (rule, path, stripped source line)."""
-        return (self.rule, self.path, self.code)
 
     def render(self) -> str:
         head = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -94,29 +81,31 @@ class Finding:
 
 @dataclass
 class FileContext:
-    """Everything a rule may need about the file under analysis."""
+    """One analyzed file, parsed once: everything a rule may need."""
 
     path: str
     module: str
-    is_package: bool
     source: str
     tree: ast.Module
-    lines: list[str]
 
-    def code_at(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
+    @classmethod
+    def parse(cls, source: str, path: str, module: str) -> "FileContext":
+        """Parse ``source`` as ``path`` in ``module``; raises :class:`SyntaxError`."""
+        return cls(path, module, source, ast.parse(source))
+
+    @property
+    def is_package(self) -> bool:
+        return Path(self.path).name == "__init__.py"
 
     def finding(self, rule: "Rule | str", node: ast.AST, message: str) -> Finding:
         rule_id = rule if isinstance(rule, str) else rule.id
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0) + 1
-        return Finding(rule_id, self.path, line, col, message, self.code_at(line))
+        return Finding(rule_id, self.path, line, col, message)
 
 
 class Rule:
-    """Base class for gemlint rules.
+    """Base class for per-file gemlint rules.
 
     Subclasses set the class attributes and implement :meth:`visit_node`;
     registration via :func:`register` makes the rule active for every
@@ -132,10 +121,6 @@ class Rule:
     motivation: str = ""
     #: AST node classes the engine should dispatch to this rule.
     node_types: tuple[type[ast.AST], ...] = ()
-
-    def begin_module(self, ctx: FileContext) -> Iterator[Finding]:
-        """Called once per file before the walk; may yield findings."""
-        return iter(())
 
     def visit_node(
         self, node: ast.AST, ctx: FileContext, parents: Sequence[ast.AST]
@@ -172,7 +157,7 @@ def all_rules() -> list[Rule]:
 
 
 class ProjectRule:
-    """Base class for project-graph (second stage) rules.
+    """Base class for project-graph rules.
 
     Subclasses set the same descriptive class attributes as :class:`Rule`
     and implement :meth:`check`, which receives the whole-project
@@ -244,7 +229,6 @@ class _Dispatcher(ast.NodeVisitor):
 class _Pragma:
     line: int
     rule: str
-    reason: str
     used: bool = False
 
 
@@ -259,78 +243,55 @@ def _comment_tokens(source: str) -> Iterator[tuple[int, str]]:
         return
 
 
-def _parse_pragmas(ctx: FileContext) -> tuple[list[_Pragma], list[Finding]]:
+def _parse_pragmas(
+    ctx: FileContext, known: Collection[str]
+) -> tuple[list[_Pragma], list[Finding]]:
     """Extract ``# gemlint: disable=...`` pragmas and their defects."""
     pragmas: list[_Pragma] = []
     defects: list[Finding] = []
+
+    def defect(line: int, message: str) -> None:
+        defects.append(Finding(PRAGMA_RULE_ID, ctx.path, line, 1, message))
+
     for lineno, text in _comment_tokens(ctx.source):
         match = _PRAGMA_RE.search(text)
         if not match:
             if "gemlint:" in text and "disable" in text:
-                defects.append(
-                    Finding(
-                        PRAGMA_RULE_ID,
-                        ctx.path,
-                        lineno,
-                        1,
-                        "unparseable gemlint pragma; expected "
-                        "'# gemlint: disable=GEM-XXX(reason)'",
-                        ctx.code_at(lineno),
-                    )
+                defect(
+                    lineno,
+                    "unparseable gemlint pragma; expected '# gemlint: disable=GEM-XXX(reason)'",
                 )
             continue
-        entries = match.group("entries")
-        parsed = list(_PRAGMA_ENTRY_RE.finditer(entries))
+        parsed = list(_PRAGMA_ENTRY_RE.finditer(match.group("entries")))
         if not parsed:
-            defects.append(
-                Finding(
-                    PRAGMA_RULE_ID,
-                    ctx.path,
-                    lineno,
-                    1,
-                    "gemlint pragma names no rule; expected "
-                    "'# gemlint: disable=GEM-XXX(reason)'",
-                    ctx.code_at(lineno),
-                )
+            defect(
+                lineno,
+                "gemlint pragma names no rule; expected '# gemlint: disable=GEM-XXX(reason)'",
             )
             continue
         for entry in parsed:
-            reason = (entry.group("reason") or "").strip()
-            if not reason:
-                defects.append(
-                    Finding(
-                        PRAGMA_RULE_ID,
-                        ctx.path,
-                        lineno,
-                        1,
-                        f"suppression of {entry.group('rule')} has no written "
-                        "justification — a bare pragma suppresses nothing; "
-                        "write '# gemlint: disable="
-                        f"{entry.group('rule')}(why this is safe)'",
-                        ctx.code_at(lineno),
-                    )
+            rule = entry.group("rule")
+            if not (entry.group("reason") or "").strip():
+                defect(
+                    lineno,
+                    f"suppression of {rule} has no written justification — a bare "
+                    f"pragma suppresses nothing; write '# gemlint: disable={rule}"
+                    "(why this is safe)'",
                 )
-                continue
-            pragmas.append(_Pragma(lineno, entry.group("rule"), reason))
+            elif rule not in known:
+                defect(lineno, f"pragma names {rule}, which is no registered rule")
+            else:
+                pragmas.append(_Pragma(lineno, rule))
     return pragmas, defects
 
 
 def _apply_pragmas(
-    findings: list[Finding],
-    pragmas: list[_Pragma],
-    ctx: FileContext,
-    *,
-    defer: Collection[str] = (),
+    ctx: FileContext, findings: list[Finding], ran: Collection[str], known: Collection[str]
 ) -> list[Finding]:
-    """Drop findings excused by a justified same-line pragma.
-
-    Pragmas naming a rule in ``defer`` (the project-rule ids, during the
-    per-file stage) are left alone entirely: they are applied — and
-    staleness-checked — by the stage that owns those rules.
-    """
-    if defer:
-        pragmas = [p for p in pragmas if p.rule not in defer]
-    by_line: dict[tuple[int, str], _Pragma] = {(p.line, p.rule): p for p in pragmas}
+    """``findings`` of ``ctx``'s file, less those its pragmas excuse, plus
+    the pragmas' defects and the stale pragmas of every rule that ran."""
+    pragmas, defects = _parse_pragmas(ctx, known)
+    by_line = {(p.line, p.rule): p for p in pragmas}
     kept: list[Finding] = []
     for finding in findings:
         pragma = by_line.get((finding.line, finding.rule))
@@ -339,7 +300,7 @@ def _apply_pragmas(
         else:
             kept.append(finding)
     for pragma in pragmas:
-        if not pragma.used:
+        if not pragma.used and pragma.rule in ran:
             kept.append(
                 Finding(
                     UNUSED_PRAGMA_RULE_ID,
@@ -348,10 +309,9 @@ def _apply_pragmas(
                     1,
                     f"pragma suppresses {pragma.rule} but nothing on this "
                     "line triggers it — remove the stale suppression",
-                    ctx.code_at(pragma.line),
                 )
             )
-    return kept
+    return kept + defects
 
 
 def module_name_for(path: Path) -> tuple[str, bool]:
@@ -382,198 +342,99 @@ def module_name_for(path: Path) -> tuple[str, bool]:
     return ".".join(dotted), is_package
 
 
-def analyze_source(
-    source: str,
-    path: str | Path,
-    *,
-    module: str | None = None,
-    is_package: bool = False,
-    rules: Sequence[Rule] | None = None,
-) -> list[Finding]:
-    """Analyze ``source`` as ``path``; the core entry point.
-
-    ``module`` overrides the dotted module name derived from the path
-    (tests use this to place fixtures into a layer). Syntax errors yield a
-    single GEM-E00 finding rather than raising: the analyzer must be able
-    to report on a tree the interpreter would reject.
-    """
-    path_obj = Path(path)
-    if module is None:
-        module, is_package = module_name_for(path_obj)
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                "GEM-E00",
-                str(path),
-                exc.lineno or 1,
-                (exc.offset or 0) + 1,
-                f"file does not parse: {exc.msg}",
-            )
-        ]
-    ctx = FileContext(
-        path=str(path),
-        module=module,
-        is_package=is_package,
-        source=source,
-        tree=tree,
-        lines=source.splitlines(),
-    )
-    active = list(rules) if rules is not None else all_rules()
-    findings: list[Finding] = []
-    for rule in active:
-        findings.extend(rule.begin_module(ctx))
-    dispatcher = _Dispatcher(active, ctx)
-    dispatcher.visit(tree)
-    findings.extend(dispatcher.findings)
-    pragmas, pragma_defects = _parse_pragmas(ctx)
-    findings = _apply_pragmas(findings, pragmas, ctx, defer=project_rule_registry())
-    findings.extend(pragma_defects)
-    findings.sort(key=lambda f: (f.line, f.col, f.rule))
-    return findings
-
-
-def analyze_file(
-    path: Path,
-    *,
-    root: Path | None = None,
-    module: str | None = None,
-    rules: Sequence[Rule] | None = None,
-) -> list[Finding]:
-    """Analyze one file; reported paths are made relative to ``root``."""
-    display = path
-    if root is not None:
-        try:
-            display = path.relative_to(root)
-        except ValueError:
-            display = path
-    source = path.read_text(encoding="utf-8")
-    return analyze_source(
-        source,
-        display.as_posix(),
-        module=module,
-        rules=rules,
-    )
-
-
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
-    """Yield ``.py`` files under ``paths``, skipping caches and hidden dirs."""
+    """Yield ``.py`` files under ``paths``, skipping caches and hidden dirs.
+
+    Only the parts below each given directory are checked, so a checkout
+    that itself lives under a hidden directory is still analyzed.
+    """
     for path in paths:
         if path.is_file():
             if path.suffix == ".py":
                 yield path
             continue
         for sub in sorted(path.rglob("*.py")):
-            if any(part.startswith(".") or part == "__pycache__" for part in sub.parts):
+            parts = sub.relative_to(path).parts
+            if any(part.startswith(".") or part == "__pycache__" for part in parts):
                 continue
             yield sub
 
 
-# --------------------------------------------------------------------------
-# Two-stage analysis: per-file dispatch, then the project graph.
-
-
-def _display_path(path: Path, root: Path | None) -> str:
-    if root is not None:
-        try:
-            return path.relative_to(root).as_posix()
-        except ValueError:
-            pass
-    return path.as_posix()
-
-
-def _project_units(
-    paths: Sequence[Path], root: Path | None
-) -> list[tuple[str, str, str, bool]]:
-    """(source, display path, module, is_package) for every project file.
-
-    Files that do not read or parse are skipped here — the per-file stage
-    reports unreadable/unparseable files (GEM-E00); the graph stage just
-    cannot include them.
-    """
-    units: list[tuple[str, str, str, bool]] = []
-    for file in iter_python_files(paths):
-        try:
-            source = file.read_text(encoding="utf-8")
-            ast.parse(source)
-        except (OSError, SyntaxError):
-            continue
-        module, is_package = module_name_for(file)
-        units.append((source, _display_path(file, root), module, is_package))
-    return units
-
-
-def _run_project_stage(
-    units: Sequence[tuple[str, str, str, bool]],
-    project_rules: Sequence[ProjectRule] | None = None,
+def analyze_sources(
+    units: Iterable[tuple[str, str, str]],
     *,
-    report_pragma_defects: bool = False,
+    rules: Sequence[Rule | ProjectRule] | None = None,
 ) -> list[Finding]:
-    """Build the project graph, run project rules, apply graph pragmas."""
+    """Analyze ``(source, path, module)`` units as one project.
+
+    ``module`` is the unit's dotted module name, as :func:`module_name_for`
+    derives it (``""`` outside the package; tests set it to place a
+    fixture in a layer). ``rules`` selects any mix of per-file and
+    project rules (default: every registered rule). A file that does not
+    parse yields a single GEM-E00 finding rather than raising — the
+    analyzer must be able to report on a tree the interpreter would
+    reject — and stays out of the project graph. Findings come back
+    sorted by path, line, column and rule.
+    """
     from repro.analysis.graph import build_project
 
-    active = list(project_rules) if project_rules is not None else all_project_rules()
-    project_ids = {rule.id for rule in active} | set(project_rule_registry())
-    project = build_project(units)
+    active = list(rules) if rules is not None else [*all_rules(), *all_project_rules()]
+    file_rules = [rule for rule in active if isinstance(rule, Rule)]
+    project_rules = [rule for rule in active if isinstance(rule, ProjectRule)]
+    files: list[FileContext] = []
     findings: list[Finding] = []
-    for rule in active:
-        findings.extend(rule.check(project))
-    for source, display, module, is_package in units:
-        ctx = FileContext(
-            path=display,
-            module=module,
-            is_package=is_package,
-            source=source,
-            # Pragma parsing is token-level; the tree is never consulted.
-            tree=ast.Module(body=[], type_ignores=[]),
-            lines=source.splitlines(),
-        )
-        pragmas, pragma_defects = _parse_pragmas(ctx)
-        graph_pragmas = [p for p in pragmas if p.rule in project_ids]
-        here = [f for f in findings if f.path == display]
-        elsewhere = [f for f in findings if f.path != display]
-        findings = elsewhere + _apply_pragmas(here, graph_pragmas, ctx)
-        if report_pragma_defects:
-            findings.extend(pragma_defects)
-    return findings
+    for source, path, module in units:
+        try:
+            ctx = FileContext.parse(source, path, module)
+        except SyntaxError as exc:
+            findings.append(
+                Finding(
+                    "GEM-E00",
+                    path,
+                    exc.lineno or 1,
+                    (exc.offset or 0) + 1,
+                    f"file does not parse: {exc.msg}",
+                )
+            )
+            continue
+        files.append(ctx)
+        dispatcher = _Dispatcher(file_rules, ctx)
+        dispatcher.visit(ctx.tree)
+        findings.extend(dispatcher.findings)
+    if project_rules:
+        project = build_project(files)
+        for project_rule in project_rules:
+            findings.extend(project_rule.check(project))
+
+    by_path: dict[str, list[Finding]] = {}
+    for finding in findings:
+        by_path.setdefault(finding.path, []).append(finding)
+    ran = {rule.id for rule in active}
+    known = rule_registry().keys() | project_rule_registry().keys()
+    for ctx in files:
+        by_path[ctx.path] = _apply_pragmas(ctx, by_path.get(ctx.path, []), ran, known)
+    out = [finding for group in by_path.values() for finding in group]
+    out.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return out
 
 
 def analyze_project(
     paths: Sequence[Path],
     *,
     root: Path | None = None,
-    rules: Sequence[Rule] | None = None,
-    project_rules: Sequence[ProjectRule] | None = None,
+    rules: Sequence[Rule | ProjectRule] | None = None,
 ) -> list[Finding]:
-    """Run both stages over ``paths``; the full-analysis entry point.
+    """Read every ``.py`` file under ``paths`` and analyze them as one project.
 
-    The per-file stage analyzes each file on its own; the project-graph
-    stage then builds one graph over all of ``paths``. Findings of both
-    come back sorted by path, line, column and rule.
+    Reported paths are made relative to ``root`` when they lie under it;
+    see :func:`analyze_sources` for ``rules`` and the result.
     """
-    findings: list[Finding] = []
+    units = []
     for file in iter_python_files(paths):
-        findings.extend(analyze_file(file, root=root, rules=rules))
-    units = _project_units(paths, root)
-    findings.extend(_run_project_stage(units, project_rules))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def analyze_project_sources(
-    files: Sequence[tuple[str, str, str]],
-    *,
-    rules: Sequence[ProjectRule] | None = None,
-) -> list[Finding]:
-    """Run the project-graph stage over in-memory sources (test harness).
-
-    ``files`` is a sequence of ``(source, display_path, module)`` triples
-    forming one synthetic project. Unlike :func:`analyze_project` this
-    also reports pragma defects — there is no per-file stage here to
-    report them.
-    """
-    units = [(source, path, module, False) for source, path, module in files]
-    findings = _run_project_stage(units, rules, report_pragma_defects=True)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+        display = file
+        if root is not None and file.is_relative_to(root):
+            display = file.relative_to(root)
+        units.append(
+            (file.read_text(encoding="utf-8"), display.as_posix(), module_name_for(file)[0])
+        )
+    return analyze_sources(units, rules=rules)

@@ -1,4 +1,4 @@
-"""Cross-module flow rules over the project graph (gemlint stage two).
+"""Cross-module flow rules over the project graph (gemlint's project rules).
 
 Four rule families consume :class:`~repro.analysis.graph.ProjectGraph`:
 
@@ -431,7 +431,6 @@ class LockOrderInversionRule(ProjectRule):
                 )
                 trace.extend(edges[edge])
             path, line = site_of.get(first, (project.modules[first[0]].path, 1))
-            module = project.modules[first[0]]
             yield Finding(
                 self.id,
                 path,
@@ -442,7 +441,6 @@ class LockOrderInversionRule(ProjectRule):
                 + " are acquired in opposite orders on different code paths — "
                 "two threads can deadlock holding one each; pick one global "
                 "order (or release before crossing)",
-                module.code_at(line),
                 trace=tuple(trace),
             )
 
@@ -472,19 +470,16 @@ class BlockingUnderLockRule(ProjectRule):
         analysis = _Concurrency(project)
         for func in project.sorted_functions():
             path = project.modules[func.module].path
-            module = project.modules[func.module]
             facts = analysis.facts(func)
             for desc, node, held in facts.blocking_held:
-                line = getattr(node, "lineno", 1)
                 yield Finding(
                     self.id,
                     path,
-                    line,
+                    getattr(node, "lineno", 1),
                     getattr(node, "col_offset", 0) + 1,
                     f"{desc} while holding {_lock_name(held[-1])} blocks every "
                     "contender of the lock — hoist the blocking call out of "
                     "the critical section",
-                    module.code_at(line),
                 )
             reported: set[tuple[int, tuple[str, int, str]]] = set()
             for call, callee, held in facts.calls_held:
@@ -496,17 +491,15 @@ class BlockingUnderLockRule(ProjectRule):
                     if dedupe in reported:
                         continue
                     reported.add(dedupe)
-                    line = getattr(call, "lineno", 1)
                     yield Finding(
                         self.id,
                         path,
-                        line,
+                        getattr(call, "lineno", 1),
                         getattr(call, "col_offset", 0) + 1,
                         f"calling {callee.qual}() while holding "
                         f"{_lock_name(held[-1])} reaches {site_key[2]} at "
                         f"{site_key[0]}:{site_key[1]} — the lock is held "
                         "across the blocking call",
-                        module.code_at(line),
                         trace=summary[site_key],
                     )
 
@@ -563,7 +556,6 @@ class DeadlinePropagationRule(ProjectRule):
                 continue
             names, attrs = self._taint(func, attr_taint)
             path = project.modules[func.module].path
-            module = project.modules[func.module]
             for call, callee in project.calls_in(func):
                 if callee.key == func.key:
                     continue
@@ -575,18 +567,16 @@ class DeadlinePropagationRule(ProjectRule):
                     continue
                 if verdict:
                     continue
-                line = getattr(call, "lineno", 1)
                 callee_path = project.modules[callee.module].path
                 yield Finding(
                     self.id,
                     path,
-                    line,
+                    getattr(call, "lineno", 1),
                     getattr(call, "col_offset", 0) + 1,
                     f"{func.qual} accepts {own[0]!r} but calls "
                     f"{callee.qual}() without forwarding it "
                     f"({callee.qual} accepts {slots[0]!r}) — the request's "
                     "budget is dropped at this hop",
-                    module.code_at(line),
                     trace=(
                         f"{callee_path}:{callee.node.lineno}: "
                         f"{callee.qual} declares {slots[0]!r}",
@@ -695,18 +685,8 @@ class ResourceLeakRule(ProjectRule):
     def check(self, project: ProjectGraph) -> Iterator[Finding]:
         for func in project.sorted_functions():
             path = project.modules[func.module].path
-            module = project.modules[func.module]
-            for finding in self._check_function(func, path):
-                line = finding[1]
-                yield Finding(
-                    self.id,
-                    path,
-                    line,
-                    finding[2],
-                    finding[0],
-                    module.code_at(line),
-                    trace=finding[3],
-                )
+            for message, line, col, trace in self._check_function(func, path):
+                yield Finding(self.id, path, line, col, message, trace=trace)
 
     def _check_function(
         self, func: FunctionInfo, path: str

@@ -1,13 +1,14 @@
-"""Whole-project symbol and call graph for gemlint's second stage.
+"""Whole-project symbol and call graph for gemlint's project rules.
 
-The per-file stage sees one AST at a time; the contracts PR 7/8 added to
+A per-file rule sees one AST at a time; the contracts PR 7/8 added to
 the serving layer — lock ordering between classes, deadlines forwarded
 hop to hop, handles closed on every path — live *between* files. This
 module builds the shared structure those rules consume:
 
-* a **module table** (:class:`ModuleInfo`): source, tree, and resolved
-  imports (``from repro.x import C as D`` → ``D: repro.x.C``, relative
-  imports resolved against the package);
+* a **module table** (:class:`ModuleInfo`): each file's parsed
+  :class:`~repro.analysis.engine.FileContext` plus its resolved imports
+  (``from repro.x import C as D`` → ``D: repro.x.C``, relative imports
+  resolved against the package);
 * a **symbol table** per module: top-level functions and classes, with
   per-class method tables, lock-attribute sites (``self._lock =
   threading.Lock()``) and self-attribute types inferred from
@@ -20,15 +21,17 @@ module builds the shared structure those rules consume:
   guessed — a project rule's finding must survive an adversarial reading
   of the witness trace.
 
-Everything here is plain ``ast`` over already-read sources; building the
-graph for ``src/repro`` costs one parse per file and two passes.
+Everything here is plain ``ast`` over the trees the engine already
+parsed; building the graph parses nothing and makes two passes.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
+
+from repro.analysis.engine import FileContext
 
 #: ``self.X = threading.<factory>()`` assignments that make ``X`` a lock
 #: site. Wider than GEM-C01's set on purpose: semaphores and events own
@@ -90,23 +93,18 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    """One analyzed file: source, tree, imports and top-level symbols."""
+    """One analyzed file's imports and top-level symbols."""
 
-    name: str
-    path: str
-    source: str
-    tree: ast.Module
-    lines: list[str] = field(default_factory=list)
+    file: FileContext
     #: local name -> fully dotted target ("repro.serve.batching.MicroBatcher",
     #: "os", ...). ``import a.b`` binds "a" -> "a".
     imports: dict[str, str] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
 
-    def code_at(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
+    @property
+    def path(self) -> str:
+        return self.file.path
 
 
 def _resolve_relative(module: str, is_package: bool, level: int, target: str | None) -> str:
@@ -191,20 +189,13 @@ def _collect_class(node: ast.ClassDef, module: str) -> ClassInfo:
     return info
 
 
-def build_project(units: Sequence[tuple[str, str, str, bool]]) -> "ProjectGraph":
-    """Parse ``(source, path, module, is_package)`` units into a graph."""
+def build_project(files: Sequence[FileContext]) -> "ProjectGraph":
+    """Build the module table, symbol tables and call graph of ``files``."""
     modules: dict[str, ModuleInfo] = {}
-    for source, path, module, is_package in units:
-        tree = ast.parse(source)
-        key = module or path
-        mod = ModuleInfo(
-            name=key,
-            path=path,
-            source=source,
-            tree=tree,
-            lines=source.splitlines(),
-        )
-        for node in tree.body:
+    for file in files:
+        key = file.module or file.path
+        mod = ModuleInfo(file)
+        for node in file.tree.body:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname:
@@ -215,7 +206,7 @@ def build_project(units: Sequence[tuple[str, str, str, bool]]) -> "ProjectGraph"
                         mod.imports[top] = top
             elif isinstance(node, ast.ImportFrom):
                 base = (
-                    _resolve_relative(key, is_package, node.level, node.module)
+                    _resolve_relative(key, file.is_package, node.level, node.module)
                     if node.level
                     else (node.module or "")
                 )

@@ -16,6 +16,7 @@ scores fixed chunks of the fit's size (:mod:`repro.core.signature`).
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -159,6 +160,12 @@ class GemConfig:
             raise ValueError(f"n_components must be >= 1, got {self.n_components}")
         if self.n_init < 1:
             raise ValueError(f"n_init must be >= 1, got {self.n_init}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (math.isfinite(self.covariance_floor) and self.covariance_floor >= 0):
+            raise ValueError(
+                f"covariance_floor must be finite and >= 0, got {self.covariance_floor}"
+            )
         # `not x > 0` rather than `x <= 0`, so NaN is refused too.
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")

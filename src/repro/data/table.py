@@ -173,7 +173,7 @@ class ColumnCorpus:
         if n_columns >= len(self):
             return self
         rng = check_random_state(random_state)
-        idx = np.sort(rng.choice(len(self), size=n_columns, replace=False))
+        idx = np.sort(rng.choice(len(self), size=n_columns, replace=False))  # gemlint: disable=GEM-D01(sorts distinct sampled indices: replace=False rules out ties, so stability cannot change the result)
         return ColumnCorpus([self._columns[i] for i in idx], name=self.name)
 
     def take(self, indices: Sequence[int]) -> "ColumnCorpus":

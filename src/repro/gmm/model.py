@@ -439,8 +439,8 @@ class GaussianMixture:
         (paper uses 10, §4.1.4). All restarts advance together as one
         vectorized EM.
     reg_covar:
-        Floor added to every component variance so components stay
-        strictly positive.
+        Finite, non-negative floor added to every component variance so
+        components stay strictly positive.
     init:
         ``"kmeans"`` (k-means++ seeded hard assignment, default),
         ``"random"`` (random responsibilities, the paper's description), or
@@ -490,8 +490,8 @@ class GaussianMixture:
         self.tol = float(tol)
         self.n_init = check_positive_int(n_init, "n_init")
         self.reg_covar = float(reg_covar)
-        if self.reg_covar < 0:
-            raise ValueError(f"reg_covar must be >= 0, got {reg_covar}")
+        if not (np.isfinite(self.reg_covar) and self.reg_covar >= 0):
+            raise ValueError(f"reg_covar must be finite and >= 0, got {reg_covar}")
         if init not in ("kmeans", "random", "quantile"):
             raise ValueError(f"init must be 'kmeans', 'random' or 'quantile', got {init!r}")
         self.init = init

@@ -136,7 +136,7 @@ class SelfOrganizingMap:
         X = check_array_2d(X, "X")
         dists = self._distances(X)
         if bandwidth is None:
-            spacings = np.diff(np.sort(self.weights_[:, 0])) if X.shape[1] == 1 else None
+            spacings = np.diff(np.sort(self.weights_[:, 0])) if X.shape[1] == 1 else None  # gemlint: disable=GEM-D01(np.diff of sorted unit positions is invariant to how ties were ordered)
             if spacings is not None and spacings.size and np.median(spacings) > 0:
                 bandwidth = float(np.median(spacings))
             else:

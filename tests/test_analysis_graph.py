@@ -1,5 +1,5 @@
-"""Project-graph stage tests: graph construction, cross-module rules,
-witness traces and graph-rule pragma/baseline semantics.
+"""Project-graph tests: graph construction, cross-module rules, witness
+traces and graph-rule pragma semantics.
 
 The per-rule true-positive/near-miss behaviour lives in the fixture
 meta-test (``test_analysis_rules.py``); here we exercise what only the
@@ -9,9 +9,8 @@ machinery around it.
 
 import pytest
 
-from repro.analysis import analyze_project_sources, project_rule_registry
-from repro.analysis.baseline import Baseline, BaselineEntry
-from repro.analysis.engine import UNUSED_PRAGMA_RULE_ID
+from repro.analysis import analyze_sources, project_rule_registry
+from repro.analysis.engine import UNUSED_PRAGMA_RULE_ID, FileContext
 from repro.analysis.flow import build_lock_graph
 from repro.analysis.graph import build_project
 
@@ -65,8 +64,7 @@ def _inverted_units():
 
 class TestProjectGraph:
     def test_collects_modules_classes_and_lock_sites(self):
-        units = [(s, p, m, False) for s, p, m in _inverted_units()]
-        project = build_project(units)
+        project = build_project([FileContext.parse(*unit) for unit in _inverted_units()])
         assert set(project.modules) == {"repro.fake.a", "repro.fake.b"}
         assert ("repro.fake.a", "A") in project.classes
         assert "_a_lock" in project.classes[("repro.fake.a", "A")].lock_attrs
@@ -75,15 +73,14 @@ class TestProjectGraph:
         assert ("repro.fake.b", "B", "_b_lock") in sites.values()
 
     def test_resolves_cross_module_attribute_calls(self):
-        units = [(s, p, m, False) for s, p, m in _inverted_units()]
-        project = build_project(units)
+        project = build_project([FileContext.parse(*unit) for unit in _inverted_units()])
         cross = project.functions[("repro.fake.a", "A.cross")]
         callees = {callee.qual for _, callee in project.calls_in(cross)}
         assert "B.poke" in callees
 
     def test_static_edges_cross_module(self):
-        units = [(s, p, m, False) for s, p, m in _inverted_units()]
-        _, edges = build_lock_graph(build_project(units))
+        files = [FileContext.parse(*unit) for unit in _inverted_units()]
+        _, edges = build_lock_graph(build_project(files))
         a = ("repro.fake.a", "A", "_a_lock")
         b = ("repro.fake.b", "B", "_b_lock")
         assert (a, b) in edges and (b, a) in edges
@@ -91,9 +88,7 @@ class TestProjectGraph:
 
 class TestCrossModuleRules:
     def test_lock_inversion_reported_once_with_both_witnesses(self):
-        findings = analyze_project_sources(
-            _inverted_units(), rules=[project_rule_registry()["GEM-C03"]]
-        )
+        findings = analyze_sources(_inverted_units(), rules=[project_rule_registry()["GEM-C03"]])
         hits = [f for f in findings if f.rule == "GEM-C03"]
         assert len(hits) == 1
         finding = hits[0]
@@ -115,7 +110,7 @@ class TestCrossModuleRules:
             "            return sink.settle(ticket)\n"
         )
         callee = "def settle(ticket):\n    return ticket.result(timeout=1.0)\n"
-        findings = analyze_project_sources(
+        findings = analyze_sources(
             [
                 (caller, "repro/fake/holder.py", "repro.fake.holder"),
                 (callee, "repro/fake/sink.py", "repro.fake.sink"),
@@ -134,7 +129,7 @@ class TestCrossModuleRules:
             "    return fakehop.lookup(query)\n"
         )
         hop = "def lookup(query, deadline_ms=None):\n    return [query]\n"
-        findings = analyze_project_sources(
+        findings = analyze_sources(
             [
                 (gateway, "repro/serve/fakegateway.py", "repro.serve.fakegateway"),
                 (hop, "repro/serve/fakehop.py", "repro.serve.fakehop"),
@@ -173,7 +168,7 @@ class TestGraphPragmasAndBaseline:
         source = ONE_FILE_INVERSION.format(
             pragma="  # gemlint: disable=GEM-C03(deliberate toy inversion)"
         )
-        findings = analyze_project_sources(
+        findings = analyze_sources(
             [(source, "repro/fake/toy.py", "repro.fake.toy")],
             rules=[project_rule_registry()["GEM-C03"]],
         )
@@ -187,36 +182,16 @@ class TestGraphPragmasAndBaseline:
             "        self._a = threading.Lock()"
             "  # gemlint: disable=GEM-C03(nothing here inverts)\n"
         )
-        findings = analyze_project_sources(
+        findings = analyze_sources(
             [(source, "repro/fake/calm.py", "repro.fake.calm")],
             rules=[project_rule_registry()["GEM-C03"]],
         )
         assert [f.rule for f in findings] == [UNUSED_PRAGMA_RULE_ID]
 
-    def test_baseline_excuses_graph_finding_by_code_line(self):
-        source = ONE_FILE_INVERSION.format(pragma="")
-        findings = analyze_project_sources(
-            [(source, "repro/fake/toy.py", "repro.fake.toy")],
-            rules=[project_rule_registry()["GEM-C03"]],
-        )
-        assert len(findings) == 1
-        baseline = Baseline(
-            entries=[
-                BaselineEntry(
-                    rule=findings[0].rule,
-                    path=findings[0].path,
-                    code=findings[0].code,
-                    justification="toy inversion kept as a documented example",
-                )
-            ]
-        )
-        unmatched, stale = baseline.apply(findings)
-        assert unmatched == [] and stale == []
-
 
 def test_serve_layer_is_clean_under_graph_rules():
-    """The real serving layer passes every graph rule un-baselined —
-    the GEM-C04 fsync-under-lock in the WAL was fixed, not excused."""
+    """The real serving layer passes every graph rule without an excuse —
+    the GEM-C04 fsync-under-lock in the WAL was fixed, not suppressed."""
     from pathlib import Path
 
     from repro.analysis import analyze_project

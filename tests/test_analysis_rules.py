@@ -17,12 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    analyze_project_sources,
-    analyze_source,
-    project_rule_registry,
-    rule_registry,
-)
+from repro.analysis import analyze_sources, project_rule_registry, rule_registry
 
 FIXTURE_DIR = Path(__file__).parent / "gemlint_fixtures"
 _DIRECTIVE_RE = re.compile(r"#\s*gemlint-fixture:\s*(\w+)=(\S+)")
@@ -60,23 +55,13 @@ def test_fixture_matches_declared_expectation(fixture):
         f"{fixture.name} must declare module= and expect= directives"
     )
     rule_id, _, count = directives["expect"].partition(":")
-    project_registry = project_rule_registry()
-    if rule_id in project_registry:
-        # Graph rules analyze a (single-file) synthetic project.
-        findings = analyze_project_sources(
-            [(source, f"fixtures/{fixture.name}", directives["module"])],
-            rules=[project_registry[rule_id]],
-        )
-    else:
-        rule = rule_registry()[rule_id]
-        findings = analyze_source(
-            source,
-            # A synthetic non-test path: rules with test-path exemptions
-            # (GEM-F01) must see fixtures as library code.
-            f"fixtures/{fixture.name}",
-            module=directives["module"],
-            rules=[rule],
-        )
+    rule = {**rule_registry(), **project_rule_registry()}[rule_id]
+    # A synthetic non-test path: rules with test-path exemptions (GEM-F01)
+    # must see fixtures as library code. A graph rule analyzes a
+    # single-file synthetic project.
+    findings = analyze_sources(
+        [(source, f"fixtures/{fixture.name}", directives["module"])], rules=[rule]
+    )
     hits = [f for f in findings if f.rule == rule_id]
     assert len(hits) == int(count), (
         f"{fixture.name}: expected {count} {rule_id} finding(s), got "

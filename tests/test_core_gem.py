@@ -76,6 +76,10 @@ class TestConfig:
         [
             ("n_components", 0),
             ("n_init", 0),
+            ("max_iter", 0),
+            ("covariance_floor", float("nan")),
+            ("covariance_floor", float("inf")),
+            ("covariance_floor", -1.0),
             ("tol", 0.0),
             ("tol", float("nan")),
             pytest.param("bic_candidates", (0, 5), id="bic_candidates-(0, 5)"),

@@ -269,6 +269,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="reg_covar"):
             GaussianMixture(2, reg_covar=-1.0)
 
+    @pytest.mark.parametrize("reg_covar", [float("nan"), float("inf")])
+    def test_non_finite_reg_covar(self, reg_covar):
+        with pytest.raises(ValueError, match="reg_covar"):
+            GaussianMixture(2, reg_covar=reg_covar)
+
     def test_zero_components(self):
         with pytest.raises(ValueError):
             GaussianMixture(0)
