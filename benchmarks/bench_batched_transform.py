@@ -7,7 +7,10 @@ Three claims are checked, matching the engine's acceptance criteria:
    unchunked references pass ``batch_size=<total values>`` explicitly);
 2. peak responsibility-matrix memory is bounded by the batch size — it
    stays flat as the corpus grows, while the one-chunk pass scales with
-   the total value count;
+   the total value count. The working set is one scoring window's table
+   of distinct-value rows (at most ``WINDOW_CHUNKS * batch_size`` rows,
+   8,192 at the default) plus one chunk's gathered rows and one scoring
+   piece of scratch: ``O(4 * batch_size * m)``;
 3. the fused vectorised pooling (``np.add.reduceat`` over column offsets)
    beats the seed's per-column Python loop by >= 2x on the pooling hot
    path.

@@ -26,11 +26,8 @@ from repro.baselines.ple import PLEEmbedder
 from repro.baselines.pythagoras import PythagorasSCEmbedder
 from repro.baselines.sato import SatoSCEmbedder
 from repro.baselines.sherlock import SherlockSCEmbedder, sherlock_statistical_features
-from repro.baselines.squashing import (
-    SquashingGMMEmbedder,
-    SquashingSOMEmbedder,
-    log_squash,
-)
+from repro.baselines.squashing import SquashingGMMEmbedder, SquashingSOMEmbedder
+from repro.core.gem import log_squash
 
 __all__ = [
     "ColumnEmbedder",

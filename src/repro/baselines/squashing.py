@@ -15,17 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import ColumnEmbedder
+from repro.core.gem import log_squash
+from repro.core.signature import mean_component_probabilities
 from repro.data.table import ColumnCorpus
 from repro.gmm.model import GaussianMixture
 from repro.som.som import SelfOrganizingMap
 from repro.utils.rng import RandomState
 from repro.utils.validation import check_fitted, check_positive_int
-
-
-def log_squash(values: np.ndarray) -> np.ndarray:
-    """Sign-preserving log squash: ``sign(x) * log(1 + |x|)`` [11]."""
-    v = np.asarray(values, dtype=float)
-    return np.sign(v) * np.log1p(np.abs(v))
 
 
 class SquashingGMMEmbedder(ColumnEmbedder):
@@ -69,14 +65,11 @@ class SquashingGMMEmbedder(ColumnEmbedder):
         return self
 
     def transform(self, corpus: ColumnCorpus) -> np.ndarray:
-        """Mean component posterior per column."""
+        """Mean component posterior per column, pooled as Gem pools its
+        signatures (:func:`~repro.core.signature.mean_component_probabilities`)."""
         corpus = self._require_corpus(corpus)
         check_fitted(self, "gmm_")
-        out = np.empty((len(corpus), self.gmm_.n_components))
-        for i, col in enumerate(corpus):
-            resp = self.gmm_.predict_proba(log_squash(col.values).reshape(-1, 1))
-            out[i] = resp.mean(axis=0)
-        return out
+        return mean_component_probabilities(self.gmm_, [log_squash(c.values) for c in corpus])
 
 
 class SquashingSOMEmbedder(ColumnEmbedder):
@@ -127,4 +120,4 @@ class SquashingSOMEmbedder(ColumnEmbedder):
         return out
 
 
-__all__ = ["log_squash", "SquashingGMMEmbedder", "SquashingSOMEmbedder"]
+__all__ = ["SquashingGMMEmbedder", "SquashingSOMEmbedder"]

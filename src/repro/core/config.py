@@ -20,7 +20,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from repro.text.embedder import HashingTextEmbedder
 from repro.utils.rng import RandomState
+from repro.utils.validation import check_positive_int
 
 _SIGNATURE_KINDS = ("responsibility", "pdf")
 _NORMALIZATIONS = ("l1", "l2", "none")
@@ -124,9 +126,10 @@ class GemConfig:
         ``transform`` embeds a column identically whatever corpus it
         arrives in.
     header_dim:
-        Dimensionality of the contextual header embeddings.
+        Dimensionality of the contextual header embeddings, an integer of
+        at least ``HashingTextEmbedder.MIN_DIM`` (8).
     ae_latent_dim / ae_epochs:
-        Autoencoder-composition hyper-parameters.
+        Autoencoder-composition hyper-parameters, positive integers.
     random_state:
         Seed threaded through every stochastic stage.
     """
@@ -199,6 +202,12 @@ class GemConfig:
             )
         if not (self.use_distributional or self.use_statistical or self.use_contextual):
             raise ValueError("at least one of D/S/C feature families must be enabled")
+        # Checked here although only some configurations build the header
+        # embedder or the autoencoder, so a manifest that cannot refit
+        # never loads.
+        check_positive_int(self.header_dim, "header_dim", minimum=HashingTextEmbedder.MIN_DIM)
+        check_positive_int(self.ae_latent_dim, "ae_latent_dim")
+        check_positive_int(self.ae_epochs, "ae_epochs")
 
     def to_manifest_dict(self) -> dict:
         """This config as a JSON-serialisable dict (manifest/archive form).

@@ -10,10 +10,15 @@ has. Two pooling variants are exposed:
 * ``pdf``: average the raw component densities ``p(x | mu_j, Sigma_j)``
   (Eq. 6) — the ablation alternative, sensitive to absolute density scale.
 
-Scoring has one path: column-aligned chunks of ``FitPlan.DEFAULT_BATCH``
-values (the fit's chunk size) through the fit's own E-step kernel, so a
-transform's memory is bounded whatever the corpus size and a column's row
-is bit-identical alone or inside any batch.
+Scoring has one path. The stack is cut into column-aligned chunks of at
+most ``FitPlan.DEFAULT_BATCH`` values (the fit's chunk size), and runs of
+whole chunks form windows of at most ``WINDOW_CHUNKS`` chunk sizes (8,192
+values). Each window scores its *distinct* values once through the fit's
+own E-step kernel; each chunk then gathers its values' rows and pools them.
+A repeated value has the same responsibilities every time, and a column's
+partial sums still accumulate chunk by chunk, so the working set is
+``O(WINDOW_CHUNKS · batch_size · m)`` whatever the corpus size, and a
+column's row is bit-identical alone or inside any batch.
 
 The signature is then augmented with standardised statistical features
 (Eq. 8) and L1-normalised (Eq. 9).
@@ -21,11 +26,18 @@ The signature is then augmented with standardised statistical features
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+
 import numpy as np
 
 from repro.gmm.model import FitPlan, GaussianMixture
 from repro.utils.preprocessing import l1_normalize, l2_normalize
 from repro.utils.validation import check_array_2d, check_positive_int
+
+#: Chunk sizes per scoring window: a window deduplicates at most
+#: ``WINDOW_CHUNKS * batch_size`` values, so its ``(distinct values, m)``
+#: score table stays bounded while most repeats inside it are scored once.
+WINDOW_CHUNKS = 4
 
 
 def column_offsets(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -80,6 +92,25 @@ def column_chunks(offsets: np.ndarray, batch_size: int):
         i = j
 
 
+def _chunk_windows(offsets: np.ndarray, batch_size: int) -> Iterator[list[slice]]:
+    """Runs of consecutive :func:`column_chunks` holding at most
+    ``WINDOW_CHUNKS * batch_size`` values each.
+
+    Yields lists of chunk slices; the windows tile the stack in order. A
+    window is a union of whole chunks, so grouping never changes how any
+    column is cut into chunks.
+    """
+    limit = WINDOW_CHUNKS * batch_size
+    window: list[slice] = []
+    for rows in column_chunks(offsets, batch_size):
+        if window and rows.stop - window[0].start > limit:
+            yield window
+            window = []
+        window.append(rows)
+    if window:
+        yield window
+
+
 def mean_component_probabilities(
     gmm: GaussianMixture,
     columns: list[np.ndarray],
@@ -89,19 +120,24 @@ def mean_component_probabilities(
 ) -> np.ndarray:
     """Mean per-component probability vector for every column.
 
-    The per-value probabilities are pooled with a vectorised segment
-    reduction (``np.add.reduceat`` over the column offsets) fused with the
-    chunked scorer: only one ``(batch_size, n_components)`` block of
-    responsibilities is live at a time, so peak memory is bounded no
-    matter how many values the corpus stacks. The transform always chunks,
-    at the fit's chunk size ``FitPlan.DEFAULT_BATCH`` (2,048 values) unless
-    told otherwise. Chunks are column-aligned (:func:`column_chunks`), so a
-    column's pooled row is **bit-identical whether it is scored alone or
-    inside any batch** — scoring is row-wise and each column's values are
-    summed in chunks determined only by its own length. Columns no longer
-    than ``batch_size`` match a one-chunk pass bitwise; a column split
-    across chunks matches it to machine precision (the partial sums
-    associate differently).
+    Values are scored in windows of whole column-aligned chunks
+    (:func:`_chunk_windows`, at most ``WINDOW_CHUNKS * batch_size`` values):
+    each window scores its distinct values once (``np.unique``), and each
+    of its chunks gathers its values' rows and pools them with a
+    vectorised segment reduction (``np.add.reduceat`` over the column
+    offsets). A value's probabilities do not depend on what else is scored
+    with it, so a repeated value costs a gather instead of an E-step. The
+    working set is ``O(WINDOW_CHUNKS * batch_size * n_components)``, so
+    peak memory is bounded no matter how many values the corpus stacks.
+    The transform always chunks, at the fit's chunk size
+    ``FitPlan.DEFAULT_BATCH`` (2,048 values) unless told otherwise. Chunks
+    are column-aligned (:func:`column_chunks`), so a column's pooled row is
+    **bit-identical whether it is scored alone or inside any batch** —
+    scoring is row-wise and each column's values are summed in chunks
+    determined only by its own length. Columns no longer than
+    ``batch_size`` match a one-chunk pass bitwise; a column split across
+    chunks matches it to machine precision (the partial sums associate
+    differently).
 
     Parameters
     ----------
@@ -124,11 +160,32 @@ def mean_component_probabilities(
     if not columns:
         raise ValueError("columns must not be empty")
     sizes, offsets = column_offsets(columns)
-    stacked = np.concatenate([np.asarray(c, dtype=float).ravel() for c in columns]).reshape(-1, 1)
+    stacked = np.concatenate([np.asarray(c, dtype=float).ravel() for c in columns])
     score = gmm.predict_proba if kind == "responsibility" else gmm.component_pdf
     sums = np.zeros((len(columns), gmm.means_.shape[0]))
-    for rows in column_chunks(offsets, batch_size):
-        per_value = score(stacked[rows])
+    for window in _chunk_windows(offsets, batch_size):
+        _pool_window(score, stacked, offsets, window, sums)
+    sums /= sizes[:, None]
+    return sums
+
+
+def _pool_window(
+    score: Callable[[np.ndarray], np.ndarray],
+    stacked: np.ndarray,
+    offsets: np.ndarray,
+    window: list[slice],
+    sums: np.ndarray,
+) -> None:
+    """Add one window's per-column partial sums into ``sums``.
+
+    The window's distinct values are scored once; each chunk gathers its
+    values' rows through the inverse index and reduces them per column.
+    The score table dies on return, so only one window's is ever live.
+    """
+    start = window[0].start
+    distinct, inverse = np.unique(stacked[start : window[-1].stop], return_inverse=True)
+    per_distinct = score(distinct)
+    for rows in window:
         # Columns overlapping this chunk: `first` contains row `rows.start`;
         # the segment boundaries are the column starts strictly inside the
         # chunk, shifted to chunk-local coordinates.
@@ -136,8 +193,8 @@ def mean_component_probabilities(
         stop = int(np.searchsorted(offsets, rows.stop, side="left"))
         inner = offsets[first + 1 : stop] - rows.start
         bounds = np.concatenate([np.zeros(1, dtype=np.intp), inner])
-        sums[first : first + bounds.size] += np.add.reduceat(per_value, bounds, axis=0)
-    return sums / sizes[:, None]
+        gather = inverse[rows.start - start : rows.stop - start]
+        sums[first : first + bounds.size] += np.add.reduceat(per_distinct[gather], bounds, axis=0)
 
 
 def signature_matrix(
@@ -205,6 +262,7 @@ def signature_matrix(
 
 
 __all__ = [
+    "WINDOW_CHUNKS",
     "column_offsets",
     "column_chunks",
     "mean_component_probabilities",

@@ -12,9 +12,11 @@ fully-tested implementation:
   of Eqs. 3-5, ``n_init`` restart-vectorized restarts and a variance floor.
   The E-step (Eq. 2) is one chunk kernel that the fit and inference
   (``predict_proba``, ``score_samples``; ``component_pdf`` is its first
-  half) share. Inference is row-wise, so the transform bounds its memory
-  by scoring column-aligned chunks
-  (:func:`repro.core.signature.column_chunks`);
+  half) share. Inference is row-wise and runs ``FitPlan.DEFAULT_BATCH``-row
+  pieces through one scratch buffer, writing straight into the returned
+  array; the transform bounds its memory by scoring the distinct values
+  of column-aligned chunk windows
+  (:func:`repro.core.signature.mean_component_probabilities`);
 * :class:`~repro.gmm.model.FitPlan` — the block-aligned chunking plan of
   the streaming fit engine (``GaussianMixture(fit_batch_size=...)``) over
   the distinct stacked values, whose reductions make chunked and unchunked

@@ -572,13 +572,16 @@ class GaussianMixture:
     # ------------------------------------------------------------- inference
 
     def _kernel_inputs(self, X: np.ndarray) -> tuple:
-        """``X``'s values, the fitted kernel parameters and two ``(n, 1, m)``
-        buffers: inference is :func:`_e_step` with ``A = 1``."""
+        """``X``'s values, the fitted kernel parameters, the row plan and one
+        ``(min(n, DEFAULT_BATCH), 1, m)`` scratch buffer: inference is
+        :func:`_e_step` with ``A = 1``, run over ``FitPlan.DEFAULT_BATCH``-row
+        pieces that reuse the scratch buffer."""
         check_fitted(self, "means_")
         x = self._check_X(X)[:, 0]
         w, mu, var = self.weights_, self.means_[:, 0], self.covariances_[:, 0, 0]
-        shape = (x.size, 1, mu.size)
-        return x, _e_step_params(w[None], mu[None], var[None]), np.empty(shape), np.empty(shape)
+        plan = FitPlan(x.size)
+        scratch = np.empty((plan.effective_batch_size, 1, mu.size))
+        return x, _e_step_params(w[None], mu[None], var[None]), plan, scratch
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Posterior responsibilities gamma(z_nj) for each sample (Eq. 2),
@@ -587,17 +590,25 @@ class GaussianMixture:
         Row-wise: scoring a slice of ``X`` equals slicing the scores of
         ``X``, bit for bit, so callers bound memory by chunking the rows
         they pass (the transform's column chunks,
-        :func:`repro.core.signature.column_chunks`).
+        :func:`repro.core.signature.column_chunks`). Beyond the returned
+        array, a call holds one ``(2048, m)`` piece of scratch.
         """
-        x, params, sq, prob = self._kernel_inputs(X)
-        _e_step(x, params, sq, prob)
+        x, params, plan, sq = self._kernel_inputs(X)
+        prob = np.empty((x.size, *sq.shape[1:]))
+        for rows in plan:
+            _e_step(x[rows], params, sq[: rows.stop - rows.start], prob[rows])
         return prob.reshape(x.size, -1)
 
     def score_samples(self, X: np.ndarray) -> np.ndarray:
         """Per-sample log marginal likelihood ``log p(x)`` (row-wise, like
         :meth:`predict_proba`)."""
-        x, params, sq, prob = self._kernel_inputs(X)
-        return _e_step(x, params, sq, prob)[:, 0]
+        x, params, plan, sq = self._kernel_inputs(X)
+        prob = np.empty_like(sq)
+        log_p = np.empty(x.size)
+        for rows in plan:
+            b = rows.stop - rows.start
+            log_p[rows] = _e_step(x[rows], params, sq[:b], prob[:b])[:, 0]
+        return log_p
 
     def component_pdf(self, X: np.ndarray) -> np.ndarray:
         """Unweighted per-component densities ``p(x | mu_j, sigma_j^2)`` (Eq. 6).
@@ -606,10 +617,12 @@ class GaussianMixture:
         densities against pooling posteriors; both are exposed. The first
         half of the E-step kernel; row-wise, like :meth:`predict_proba`.
         """
-        x, params, sq, prob = self._kernel_inputs(X)
+        x, params, plan, sq = self._kernel_inputs(X)
+        dens = np.empty((x.size, *sq.shape[1:]))
         with np.errstate(over="ignore"):
-            _log_density(x, params, sq, prob)
-        return np.exp(prob, out=prob).reshape(x.size, -1)
+            for rows in plan:
+                _log_density(x[rows], params, sq[: rows.stop - rows.start], dens[rows])
+        return np.exp(dens, out=dens).reshape(x.size, -1)
 
     # ----------------------------------------------------- model selection
 

@@ -37,6 +37,9 @@ class HashingTextEmbedder:
         Fold known schema abbreviations to canonical tokens first.
     """
 
+    #: The smallest ``dim`` accepted.
+    MIN_DIM = 8
+
     def __init__(
         self,
         dim: int = 256,
@@ -45,7 +48,7 @@ class HashingTextEmbedder:
         token_weight: float = 2.0,
         use_synonyms: bool = True,
     ) -> None:
-        self.dim = check_positive_int(dim, "dim", minimum=8)
+        self.dim = check_positive_int(dim, "dim", minimum=self.MIN_DIM)
         if not ngram_sizes or any(n < 2 for n in ngram_sizes):
             raise ValueError(f"ngram_sizes must all be >= 2, got {ngram_sizes}")
         self.ngram_sizes = tuple(int(n) for n in ngram_sizes)

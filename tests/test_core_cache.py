@@ -93,9 +93,10 @@ class TestEmbedderCaching:
 
     def test_repeated_columns_scored_once(self, fitted, monkeypatch):
         values = np.linspace(0.0, 40.0, 25)
+        other = np.linspace(5.0, 9.0, 10)
         corpus = ColumnCorpus(
             [NumericColumn(f"c{i}", values, "x", "x") for i in range(6)]
-            + [NumericColumn("other", np.linspace(5.0, 9.0, 10), "y", "y")]
+            + [NumericColumn("other", other, "y", "y")]
         )
         calls = []
         original = fitted.gmm_.predict_proba
@@ -106,8 +107,12 @@ class TestEmbedderCaching:
 
         monkeypatch.setattr(fitted.gmm_, "predict_proba", counting)
         M = fitted.mean_probabilities(corpus)
-        # Six duplicates + one distinct column -> 25 + 10 values scored, once.
-        assert sum(calls) == 35
+        # Six duplicates + one distinct column -> one column of each is
+        # pooled, and the scorer sees each distinct value of the two once:
+        # 5.0 is in both, so 34 of their 35 values.
+        distinct = np.unique(np.concatenate([values, other])).size
+        assert distinct == 34
+        assert sum(calls) == distinct
         assert np.allclose(M[:6], M[0])
 
     def test_second_transform_hits_cache(self, fitted, tiny_corpus, monkeypatch):

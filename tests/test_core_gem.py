@@ -124,6 +124,37 @@ class TestConfig:
             with pytest.raises(ValueError):
                 GemConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value,error",
+        [
+            ("header_dim", -3, ValueError),
+            ("header_dim", 0, ValueError),
+            ("header_dim", 7, ValueError),
+            ("header_dim", 2.5, TypeError),
+            ("header_dim", 256.0, TypeError),
+            ("header_dim", True, TypeError),
+            ("ae_latent_dim", 0, ValueError),
+            ("ae_latent_dim", 1.5, TypeError),
+            ("ae_latent_dim", True, TypeError),
+            ("ae_epochs", 0, ValueError),
+            ("ae_epochs", -1, ValueError),
+            ("ae_epochs", 10.0, TypeError),
+            ("ae_epochs", False, TypeError),
+        ],
+    )
+    def test_component_sizes_validated_at_construction(self, field, value, error):
+        # These only reach the header embedder or the autoencoder when a
+        # fit builds one; a config (or a manifest) that could never refit
+        # is refused up front.
+        with pytest.raises(error, match=field):
+            GemConfig(**{field: value})
+
+    def test_manifest_with_an_invalid_component_size_does_not_load(self):
+        cfg = GemConfig.fast().to_manifest_dict()
+        cfg["header_dim"] = 4
+        with pytest.raises(ValueError, match="header_dim must be >= 8"):
+            GemConfig.from_manifest_dict(cfg)
+
 
 class TestFitTransform:
     def test_embedding_shape_matches_config(self, fitted, tiny_corpus_module):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.signature import (
+    WINDOW_CHUNKS,
     column_chunks,
     column_offsets,
     mean_component_probabilities,
     signature_matrix,
 )
+from repro.data import make_gds
 from repro.gmm import FitPlan, GaussianMixture
 
 
@@ -153,6 +155,61 @@ class TestBatchedPooling:
     def test_fractional_batch_size_rejected(self, fitted_gmm, columns):
         with pytest.raises(TypeError, match="batch_size must be an integer"):
             mean_component_probabilities(fitted_gmm, columns, batch_size=2.5)
+
+
+def _every_value_pooling(gmm, columns, kind, batch_size):
+    """Test-local oracle: pool every value of each column chunk, repeats
+    included, in the chunk order the transform uses."""
+    score = gmm.predict_proba if kind == "responsibility" else gmm.component_pdf
+    sizes, offsets = column_offsets(columns)
+    stacked = np.concatenate(columns)
+    owner = np.repeat(np.arange(len(columns)), sizes)
+    sums = np.zeros((len(columns), gmm.n_components))
+    for rows in column_chunks(offsets, batch_size):
+        per_value = score(stacked[rows])
+        starts = np.flatnonzero(np.diff(owner[rows], prepend=-1))
+        sums[owner[rows][starts]] += np.add.reduceat(per_value, starts, axis=0)
+    return sums / sizes[:, None]
+
+
+class TestDistinctValueScoring:
+    """Each scoring window (whole column chunks, at most WINDOW_CHUNKS
+    chunk sizes) scores its distinct values once; rows stay bitwise equal
+    to pooling every value."""
+
+    @pytest.fixture(scope="class")
+    def lake(self):
+        # A rounded GDS lake is duplicate-heavy (about 15% of its 10.7k
+        # values are distinct), and 0.0 and -0.0 compare equal in
+        # np.unique, so they share one scored row.
+        columns = [np.round(c.values) for c in make_gds(scale="tiny", random_state=3)]
+        columns.append(np.array([0.0, -0.0, 3.0, -0.0, 0.0, 3.0]))
+        gmm = GaussianMixture(8, n_init=1, random_state=0).fit(np.concatenate(columns))
+        return gmm, columns
+
+    @pytest.mark.parametrize("batch_size", [FitPlan.DEFAULT_BATCH, 1, 7])
+    @pytest.mark.parametrize("kind", ["responsibility", "pdf"])
+    def test_rows_equal_every_value_pooling(self, lake, kind, batch_size):
+        gmm, columns = lake
+        got = mean_component_probabilities(gmm, columns, kind=kind, batch_size=batch_size)
+        assert np.array_equal(got, _every_value_pooling(gmm, columns, kind, batch_size))
+
+    @pytest.mark.parametrize("batch_size", [FitPlan.DEFAULT_BATCH, 7])
+    def test_scorer_sees_each_window_value_once(self, lake, batch_size, monkeypatch):
+        gmm, columns = lake
+        calls = []
+        original = gmm.predict_proba
+
+        def spy(X):
+            calls.append(np.asarray(X).ravel().copy())
+            return original(X)
+
+        monkeypatch.setattr(gmm, "predict_proba", spy)
+        mean_component_probabilities(gmm, columns, batch_size=batch_size)
+        assert len(calls) > 1
+        assert all(x.size <= WINDOW_CHUNKS * batch_size for x in calls)
+        assert all(np.unique(x).size == x.size for x in calls)
+        assert sum(x.size for x in calls) < sum(c.size for c in columns)
 
 
 class TestColumnChunks:

@@ -1,12 +1,14 @@
 """Tests for the from-scratch GaussianMixture: EM correctness, stability,
 model selection and the paper's usage patterns."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gmm import GaussianMixture, select_n_components_bic
+from repro.gmm import FitPlan, GaussianMixture, select_n_components_bic
 
 
 @pytest.fixture
@@ -206,6 +208,31 @@ class TestChunkedInference:
     def test_component_pdf_chunked_identical(self, fitted, batch_size):
         gm, X = fitted
         self.assert_slices_match(gm.component_pdf, X, batch_size)
+
+    @pytest.mark.parametrize("method", ["predict_proba", "score_samples", "component_pdf"])
+    def test_calls_longer_than_one_scoring_piece(self, fitted, method):
+        # Inference runs FitPlan.DEFAULT_BATCH rows at a time; slices that
+        # straddle its piece boundaries still match, bit for bit.
+        gm, _ = fitted
+        long = np.random.default_rng(11).normal(5, 6, (2 * FitPlan.DEFAULT_BATCH + 5, 1))
+        self.assert_slices_match(getattr(gm, method), long, 1000)
+
+    @pytest.mark.parametrize("method", ["predict_proba", "component_pdf"])
+    def test_scratch_is_one_piece(self, method):
+        # Beyond the returned (n, m) array, a call holds one
+        # (DEFAULT_BATCH, 1, m) scratch piece and O(DEFAULT_BATCH) vectors,
+        # never a second (n, 1, m) buffer.
+        rng = np.random.default_rng(3)
+        gm = GaussianMixture(12, n_init=1, random_state=0).fit(rng.normal(0, 5, 2000))
+        X = rng.normal(0, 5, (20_000, 1))
+        piece = FitPlan.DEFAULT_BATCH * gm.n_components * 8
+        tracemalloc.start()
+        try:
+            out = getattr(gm, method)(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 3 * piece
 
 
 class TestExtremeOutliers:
