@@ -1,61 +1,45 @@
 """Benchmarks for the lake-scale similarity index (repro.index).
 
-Four claims are checked, matching the subsystem's acceptance criteria:
+Three claims are checked here, the first two at a ``quick`` and a
+``full`` size:
 
-1. **exactness** — the blocked exact backend returns bit-identical
-   positions and scores to the dense ``cosine_similarity_matrix`` +
-   ``top_k_neighbors`` path;
-2. **flat search memory** — exact-search peak memory does not grow when the
-   corpus grows 10x (the dense path would need the ``(n, n)`` matrix:
-   12.8 GB at 40k columns);
-3. **IVF trade-off** — the partitioned backend answers queries >= 5x faster
-   than the exact scan at recall@10 >= 0.95;
-4. **compression frontier** — the compressed storage modes hold their
+1. **IVF trade-off** — the partitioned backend answers queries >= 5x faster
+   than the exact scan at recall@10 >= 0.95. The recall floor always
+   gates; the wall-clock speedup is advisory at ``quick`` size (shared CI
+   runners flake on timing) and strict at ``full`` size;
+2. **compression frontier** — the compressed storage modes hold their
    memory-per-row x recall@10 operating points against the exact/f64
    oracle: float32 rows >= 1.9x smaller at recall >= 0.999, IVF-PQ codes
    >= 8x smaller at recall >= 0.9, and the exact-re-rank PQ variant at
-   recall >= 0.95. Both compressed modes must also round-trip through
-   ``save_index``/``load_index`` bit-identically.
+   recall >= 0.95. ``quick`` runs the gated variants only; ``full`` adds
+   the advisory points (ivf/f64, pq at m=8 and m=16) that chart the curve;
+3. **compressed round trip** — float32 rows and trained float32 PQ state
+   (codebooks over 4-dim sub-vectors, uint8 codes) survive
+   ``save_index``/``load_index`` bit-identically on 2,000 lake-shaped rows.
 
-Runs two ways:
+Exactness against the dense path and flat search memory are tier-1 tests
+(tests/test_index.py). Run with::
 
-* as a script (what CI does)::
-
-      PYTHONPATH=src python benchmarks/bench_index.py --quick
-
-  ``--quick`` shrinks the corpora and makes the wall-clock speedup
-  assertion advisory (shared CI runners flake on timing); the recall,
-  memory, frontier and round-trip checks always gate. ``--quick`` also
-  trims the frontier sweep to the gated variants; the full profile adds
-  the advisory points (ivf/f64, pq at m=8 and m=16) that chart the curve.
-
-* collected by pytest like the other engine benches::
-
-      pytest benchmarks/bench_index.py -o python_files="bench_*.py" \
-          -o python_functions="bench_*"
+    PYTHONPATH=src python -m pytest benchmarks/bench_index.py -s \\
+        -o python_files="bench_*.py" -o python_functions="bench_*" \\
+        -k "quick or round_trip"
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-import tempfile
 import time
-import tracemalloc
-from pathlib import Path
 
 import numpy as np
+import pytest
 
-from repro.evaluation.neighbors import cosine_similarity_matrix, top_k_neighbors
 from repro.index import GemIndex, load_index, save_index
 
 DIM = 32
 N_CLUSTERS = 100
 K = 10
 
-QUICK = dict(n=8_000, n_queries=256, n_lists=64, n_probe=6, growth_base=2_000)
-FULL = dict(n=40_000, n_queries=512, n_lists=200, n_probe=8, growth_base=4_000)
+#: (n, n_queries, n_lists, n_probe) per size.
+PROFILES = {"quick": (8_000, 256, 64, 6), "full": (40_000, 512, 200, 8)}
 
 
 def _clustered_rows(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -70,86 +54,15 @@ def _build(backend: str, X: np.ndarray, **kwargs) -> GemIndex:
     return index
 
 
-def _best_of(fn, rounds: int = 3) -> float:
-    best = np.inf
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _peak_bytes(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
 def _recall_at_k(approx: np.ndarray, truth: np.ndarray) -> float:
-    hits = sum(
-        len(set(approx[i]) & set(truth[i])) for i in range(truth.shape[0])
-    )
+    hits = sum(len(set(approx[i]) & set(truth[i])) for i in range(truth.shape[0]))
     return hits / truth.size
 
 
-def check_exact_matches_dense(n: int = 1_500) -> dict:
-    """Claim 1: blocked exact search is bit-identical to the dense path."""
-    X = _clustered_rows(n, np.random.default_rng(0))
-    X[3] = 0.0
-    X[100:105] = X[7]  # exact duplicates across block boundaries
-    sim = cosine_similarity_matrix(X)
-    dense = top_k_neighbors(sim, K)
-    rows = np.arange(n)[:, None]
-    ids = [f"c{i}" for i in range(n)]
-    for block_size in (1, 257, 4096):
-        index = _build("exact", X, block_size=block_size)
-        result = index.search(X, K, exclude_ids=ids)
-        assert np.array_equal(result.positions, dense), f"block_size={block_size}"
-        assert np.array_equal(result.scores, sim[rows, dense]), f"block_size={block_size}"
-    print(
-        f"exact backend bit-identical to dense path over {n} columns "
-        "(block sizes 1, 257, 4096)"
-    )
-    return {"n": n, "block_sizes": [1, 257, 4096], "bit_identical": True}
-
-
-def check_search_memory_flat(growth_base: int) -> dict:
-    """Claim 2: exact-search peak memory is flat at 10x corpus growth."""
-    def peak_at(n: int) -> int:
-        X = _clustered_rows(n, np.random.default_rng(1))
-        index = _build("exact", X, block_size=2_048)
-        queries = X[:256]
-        index.search(queries, K)  # warm up allocator pools
-        return _peak_bytes(lambda: index.search(queries, K))
-
-    small, large = growth_base, 10 * growth_base
-    peak_small, peak_large = peak_at(small), peak_at(large)
-    dense_bytes = large * large * 8
-    print(
-        f"exact search peak: {peak_small / 1e6:.1f} MB at {small} columns vs "
-        f"{peak_large / 1e6:.1f} MB at {large} (dense matrix would be "
-        f"{dense_bytes / 1e9:.1f} GB)"
-    )
-    assert peak_large < 1.5 * peak_small + 4e6, (
-        f"search memory grew with the corpus: {peak_small} -> {peak_large} bytes"
-    )
-    assert peak_large < dense_bytes / 50
-    return {
-        "n_small": small,
-        "n_large": large,
-        "peak_small_bytes": peak_small,
-        "peak_large_bytes": peak_large,
-    }
-
-
-def check_ivf_tradeoff(
-    n: int, n_queries: int, n_lists: int, n_probe: int, *, strict_speedup: bool
-) -> dict:
-    """Claim 3: >= 5x IVF query speedup at recall@10 >= 0.95."""
+@pytest.mark.parametrize("profile", ["quick", "full"])
+def bench_ivf_speedup_at_recall(profile, best_of):
+    """Claim 1: >= 5x IVF query speedup at recall@10 >= 0.95."""
+    n, n_queries, n_lists, n_probe = PROFILES[profile]
     X = _clustered_rows(n, np.random.default_rng(2))
     queries = X[:n_queries]
     exact = _build("exact", X, block_size=4_096)
@@ -162,8 +75,8 @@ def check_ivf_tradeoff(
     approx = ivf.search(queries, K).positions
     recall = _recall_at_k(approx, truth)
 
-    t_exact = _best_of(lambda: exact.search(queries, K))
-    t_ivf = _best_of(lambda: ivf.search(queries, K))
+    t_exact = best_of(lambda: exact.search(queries, K), 3)
+    t_ivf = best_of(lambda: ivf.search(queries, K), 3)
     speedup = t_exact / t_ivf
     bytes_per_row = ivf.storage_bytes()["total"] / n
     print(
@@ -173,28 +86,14 @@ def check_ivf_tradeoff(
         f"recall@{K} {recall:.3f}, {bytes_per_row:.0f} B/row resident"
     )
     assert recall >= 0.95, f"IVF recall@{K} {recall:.3f} below 0.95"
-    if strict_speedup:
+    if profile == "full":
         assert speedup >= 5.0, f"expected >= 5x IVF speedup, got {speedup:.2f}x"
     elif speedup < 5.0:
         print(
             f"WARNING: advisory speedup below 5x ({speedup:.2f}x) — "
             "expected only on heavily loaded shared runners"
         )
-    return {
-        "n": n,
-        "n_lists": n_lists,
-        "n_probe": n_probe,
-        "recall_at_k": recall,
-        "t_exact_s": t_exact,
-        "t_ivf_s": t_ivf,
-        "speedup": speedup,
-        "train_s": train_s,
-        "bytes_per_row": bytes_per_row,
-        "total_bytes": ivf.storage_bytes()["total"],
-    }
 
-
-# ----------------------------------------------------- compression frontier
 
 #: (name, backend, extra GemIndex kwargs, gate) — gate is None (advisory
 #: frontier point) or a dict with ``min_ratio`` / ``min_recall`` floors.
@@ -231,28 +130,25 @@ _FRONTIER_VARIANTS = [
 ]
 
 
-def check_frontier(
-    n: int, n_queries: int, n_lists: int, n_probe: int, *, full_frontier: bool
-) -> dict:
-    """Claim 4: compressed backends hold their bytes/row x recall points.
+@pytest.mark.parametrize("profile", ["quick", "full"])
+def bench_compression_frontier(profile):
+    """Claim 2: compressed backends hold their bytes/row x recall points.
 
     Builds every variant over the same corpus, measures recall@10 against
     the exact/f64 oracle and resident bytes per row from
-    :meth:`GemIndex.storage_bytes`, then asserts the gated floors. With
-    ``full_frontier=False`` only the gated variants (and the oracle) run —
-    that is the CI ``--quick`` gate; the nightly full profile sweeps the
-    advisory points too.
+    :meth:`GemIndex.storage_bytes`, then asserts the gated floors.
     """
+    n, n_queries, n_lists, n_probe = PROFILES[profile]
     X = _clustered_rows(n, np.random.default_rng(2))
     queries = X[:n_queries]
     variants = [
-        v for v in _FRONTIER_VARIANTS if full_frontier or v[3] is not None or v[0] == "exact_f64"
+        v
+        for v in _FRONTIER_VARIANTS
+        if profile == "full" or v[3] is not None or v[0] == "exact_f64"
     ]
 
-    oracle: GemIndex | None = None
     truth: np.ndarray | None = None
     base_bytes = 0
-    rows_out = []
     failures = []
     for name, backend, extra, gate in variants:
         kwargs = dict(extra)
@@ -266,23 +162,11 @@ def check_frontier(
         result = index.search(queries, K)
         total = index.storage_bytes()["total"]
         if name == "exact_f64":
-            oracle, truth, base_bytes = index, result.positions, total
+            truth, base_bytes = result.positions, total
             recall, ratio = 1.0, 1.0
         else:
             recall = _recall_at_k(result.positions, truth)
             ratio = base_bytes / total
-        entry = {
-            "name": name,
-            "backend": backend,
-            "dtype": index.dtype.name,
-            "recall_at_k": recall,
-            "total_bytes": total,
-            "bytes_per_row": total / n,
-            "compression_ratio": ratio,
-            "train_s": train_s,
-            "gated": gate is not None,
-        }
-        rows_out.append(entry)
         print(
             f"frontier {name:>14}: recall@{K} {recall:.4f}, "
             f"{total / n:7.1f} B/row ({ratio:5.2f}x smaller vs exact/f64, "
@@ -290,144 +174,39 @@ def check_frontier(
         )
         if gate is not None:
             if recall < gate.get("min_recall", 0.0):
-                failures.append(
-                    f"{name}: recall@{K} {recall:.4f} below {gate['min_recall']}"
-                )
+                failures.append(f"{name}: recall@{K} {recall:.4f} below {gate['min_recall']}")
             if ratio < gate.get("min_ratio", 0.0):
                 failures.append(
                     f"{name}: only {ratio:.2f}x smaller than exact/f64, "
                     f"gate needs {gate['min_ratio']}x"
                 )
     assert not failures, "frontier gates failed: " + "; ".join(failures)
-    return {
-        "n": n,
-        "n_lists": n_lists,
-        "n_probe": n_probe,
-        "k": K,
-        "base_bytes_per_row": base_bytes / n,
-        "variants": rows_out,
-    }
 
 
-def check_compressed_round_trip(n: int = 2_000) -> dict:
-    """Both compressed modes survive save/load bit-identically.
+def bench_compressed_round_trip(tmp_path):
+    """Claim 3: both compressed modes survive save/load bit-identically.
 
     float32 rows and the trained PQ state (codebooks + uint8 codes) must
     reload byte-for-byte, and the reloaded indexes must answer queries
     with identical positions *and* scores — silent precision loss on the
     persistence path is exactly the failure this gate exists to catch.
     """
-    X = _clustered_rows(n, np.random.default_rng(4))
+    X = _clustered_rows(2_000, np.random.default_rng(4))
     queries = X[:64]
-    checked = []
-    with tempfile.TemporaryDirectory() as tmp:
-        f32 = _build("exact", X, dtype="float32")
-        pq = _build(
-            "pq", X, n_lists=32, n_probe=4, dtype="float32",
-            pq_subvectors=8, random_state=0,
-        )
-        pq.train()
-        for name, index in (("exact_f32", f32), ("pq_m8_f32", pq)):
-            path = Path(tmp) / name
-            save_index(index, path)
-            loaded = load_index(path)
-            before, after = index.search(queries, K), loaded.search(queries, K)
-            assert np.array_equal(before.positions, after.positions), name
-            assert np.array_equal(before.scores, after.scores), name
-            if index._stores_rows:
-                assert np.array_equal(index._rows, loaded._rows), name
-            if index._stores_codes:
-                assert np.array_equal(index._codes, loaded._codes), name
-                assert np.array_equal(
-                    index._pq.codebooks_, loaded._pq.codebooks_
-                ), name
-            checked.append(name)
-    print(f"compressed round-trip bit-identical: {', '.join(checked)}")
-    return {"n": n, "bit_identical": True, "variants": checked}
-
-
-# ------------------------------------------------------- pytest entry points
-
-def bench_exact_matches_dense():
-    check_exact_matches_dense()
-
-
-def bench_search_memory_flat_as_corpus_grows():
-    check_search_memory_flat(QUICK["growth_base"])
-
-
-def bench_ivf_speedup_at_recall():
-    cfg = QUICK
-    check_ivf_tradeoff(
-        cfg["n"],
-        cfg["n_queries"],
-        cfg["n_lists"],
-        cfg["n_probe"],
-        strict_speedup=False,
+    f32 = _build("exact", X, dtype="float32")
+    pq = _build(
+        "pq", X, n_lists=32, n_probe=4, dtype="float32", pq_subvectors=8, random_state=0
     )
-
-
-def bench_compression_frontier():
-    cfg = QUICK
-    check_frontier(
-        cfg["n"],
-        cfg["n_queries"],
-        cfg["n_lists"],
-        cfg["n_probe"],
-        full_frontier=False,
-    )
-
-
-def bench_compressed_round_trip():
-    check_compressed_round_trip()
-
-
-# --------------------------------------------------------------- script mode
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI profile: smaller corpora and gated-variants-only frontier; "
-        "recall, memory, frontier and round-trip checks gate, the "
-        "wall-clock speedup assertion becomes advisory",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="write the measurements to PATH as JSON (nightly artifact)",
-    )
-    args = parser.parse_args(argv)
-    cfg = QUICK if args.quick else FULL
-    results = {
-        "profile": "quick" if args.quick else "full",
-        "exactness": check_exact_matches_dense(),
-        "memory": check_search_memory_flat(cfg["growth_base"]),
-        "ivf": check_ivf_tradeoff(
-            cfg["n"],
-            cfg["n_queries"],
-            cfg["n_lists"],
-            cfg["n_probe"],
-            strict_speedup=not args.quick,
-        ),
-        "frontier": check_frontier(
-            cfg["n"],
-            cfg["n_queries"],
-            cfg["n_lists"],
-            cfg["n_probe"],
-            full_frontier=not args.quick,
-        ),
-        "round_trip": check_compressed_round_trip(),
-    }
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=2)
-        print(f"wrote {args.json}")
-    print("bench_index: all checks passed")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    pq.train()
+    for name, index in (("exact_f32", f32), ("pq_m8_f32", pq)):
+        save_index(index, tmp_path / name)
+        loaded = load_index(tmp_path / name)
+        before, after = index.search(queries, K), loaded.search(queries, K)
+        assert np.array_equal(before.positions, after.positions), name
+        assert np.array_equal(before.scores, after.scores), name
+        if index._stores_rows:
+            assert np.array_equal(index._rows, loaded._rows), name
+        if index._stores_codes:
+            assert np.array_equal(index._codes, loaded._codes), name
+            assert np.array_equal(index._pq.codebooks_, loaded._pq.codebooks_), name
+    print("compressed round-trip bit-identical: exact_f32, pq_m8_f32")

@@ -1,45 +1,25 @@
-"""Benchmarks for the online serving layer (repro.serve).
+"""Benchmark for the online serving layer (repro.serve).
 
-Three claims are checked, matching the subsystem's acceptance criteria:
+One claim is checked here, at a ``quick`` (80 requests per client) and a
+``full`` (200) size: 8 concurrent clients issuing small search requests
+through the micro-batched service finish >= 3x faster than through a
+per-request lock around the same embedder + index (the baseline every
+caller would otherwise write).
 
-1. **bit-identity** — micro-batched ``embed``/``search`` results from
-   concurrent clients are bitwise equal to solo calls through the same
-   fitted model and index (the batcher composes requests through
-   column-aligned pooling chunks and row-independent top-k kernels, so
-   coalescing is invisible);
-2. **throughput** — 8 concurrent clients issuing small search requests
-   through the micro-batched service finish >= 3x faster than through a
-   per-request lock around the same embedder + index (the baseline every
-   caller would otherwise write);
-3. **snapshot consistency** — searches racing an ingest/evict storm always
-   observe entire write batches: a reader sees either all members of an
-   atomically ingested group or none of them, never a torn subset.
+Bit-identity of batched results and torn-read freedom under a write storm
+are tier-1 tests (tests/test_serve.py). Run with::
 
-Runs two ways:
-
-* as a script (what CI does)::
-
-      PYTHONPATH=src python benchmarks/bench_serve.py --quick
-
-  ``--quick`` shrinks the request counts; all three claims gate either
-  way. ``--json PATH`` additionally writes the measurements for the
-  nightly benchmark artifact.
-
-* collected by pytest like the other engine benches::
-
-      pytest benchmarks/bench_serve.py -o python_files="bench_*.py" \
-          -o python_functions="bench_*"
+    PYTHONPATH=src python -m pytest benchmarks/bench_serve.py -s \\
+        -o python_files="bench_*.py" -o python_functions="bench_*" -k quick
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import threading
 import time
 
 import numpy as np
+import pytest
 
 from repro.core import GemEmbedder
 from repro.data import ColumnCorpus, NumericColumn, make_gds
@@ -49,15 +29,11 @@ FAST = dict(n_components=6, n_init=1, max_iter=60, random_state=0)
 K = 5
 N_CLIENTS = 8
 
-QUICK = dict(requests_per_client=80, storm_cycles=40, storm_searches=60)
-FULL = dict(requests_per_client=200, storm_cycles=150, storm_searches=250)
+REQUESTS_PER_CLIENT = {"quick": 80, "full": 200}
+ROUNDS, MAX_ROUNDS = 5, 12
 
 
-def _fitted(corpus: ColumnCorpus) -> GemEmbedder:
-    return GemEmbedder(**FAST).fit(corpus)
-
-
-def _query_columns(n: int, seed: int = 7) -> list[NumericColumn]:
+def _query_columns(n: int, seed: int) -> list[NumericColumn]:
     """Small distinct columns — the overhead-dominated serving shape."""
     rng = np.random.default_rng(seed)
     return [
@@ -92,64 +68,25 @@ class _LockedService:
         return found
 
 
-def check_batched_bit_identity() -> dict:
-    """Claim 1: concurrent batched results == solo results, bitwise."""
-    corpus = make_gds()
-    gem = _fitted(corpus)
-    index = gem.build_index(corpus)
-    queries = _query_columns(32)
-    # Solo references through the same frozen model and stored rows.
-    solo_rows = [gem.transform(ColumnCorpus([q])) for q in queries]
-    solo_hits = [index.search(r, K) for r in solo_rows]
-
-    service = GemService(gem, index, batch_window_ms=25, max_batch=16, max_workers=2)
-    embeds: list = [None] * len(queries)
-    searches: list = [None] * len(queries)
-
-    def client(i: int) -> None:
-        embeds[i] = service.embed([queries[i]])
-        searches[i] = service.search([queries[i]], K)
-
-    threads = [threading.Thread(target=client, args=(i,)) for i in range(len(queries))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    stats = service.metrics.snapshot()
-    service.close()
-
-    for i in range(len(queries)):
-        assert np.array_equal(embeds[i], solo_rows[i]), f"embed row {i} differs"
-        assert np.array_equal(searches[i].positions, solo_hits[i].positions), i
-        assert np.array_equal(searches[i].scores, solo_hits[i].scores), i
-        assert np.array_equal(searches[i].ids, solo_hits[i].ids), i
-    assert stats["batched_ratio"] > 0, "no request ever shared a batch"
-    print(
-        f"bit-identity: {len(queries)} concurrent clients x (embed+search) "
-        f"match solo calls bitwise (batched_ratio "
-        f"{stats['batched_ratio']:.2f})"
-    )
-    return {"batched_ratio": stats["batched_ratio"]}
-
-
-def check_concurrent_throughput(
-    requests_per_client: int, rounds: int = 5, max_rounds: int = 12
-) -> dict:
-    """Claim 2: >= 3x over per-request locking for 8 concurrent clients.
+@pytest.mark.parametrize("profile", ["quick", "full"])
+def bench_concurrent_throughput_over_locking(profile):
+    """>= 3x over per-request locking for 8 concurrent clients.
 
     Paired rounds with best-of selection, like the other wall-clock
     benches: on a single core the OS scheduler routinely swings either
     side of a 0.1 s measurement by tens of percent, so the claim — the
     micro-batched design *can* deliver >= 3x where per-request locking
-    cannot — is judged on the cleanest paired round. ``rounds`` rounds
+    cannot — is judged on the cleanest paired round. ``ROUNDS`` rounds
     always run; if none is clean the measurement escalates up to
-    ``max_rounds`` before failing. Every round is printed.
+    ``MAX_ROUNDS`` before failing. Every round is printed.
+
+    Both sides share one embedder, whose signature cache is always on, so
+    each side sends its own content-distinct query stream (warm-up
+    included): neither can be served a row the other scored.
     """
+    requests_per_client = REQUESTS_PER_CLIENT[profile]
     corpus = make_gds()
-    # The cache cannot hit on this all-distinct query stream; leave it off
-    # so both paths run the same queries back to back without the second
-    # run scoring cached rows.
-    gem = GemEmbedder(cache_signatures=False, **FAST).fit(corpus)
+    gem = GemEmbedder(**FAST).fit(corpus)
     index = gem.build_index(corpus)
 
     def run_clients(fn, queries) -> float:
@@ -162,9 +99,7 @@ def check_concurrent_throughput(
             except Exception as exc:  # pragma: no cover - reported below
                 errors.append(exc)
 
-        threads = [
-            threading.Thread(target=client, args=(c,)) for c in range(N_CLIENTS)
-        ]
+        threads = [threading.Thread(target=client, args=(c,)) for c in range(N_CLIENTS)]
         t0 = time.perf_counter()
         for t in threads:
             t.start()
@@ -180,15 +115,18 @@ def check_concurrent_throughput(
     speedups, times = [], []
     try:
         # Warm both paths (allocator pools, lazy id-lookup caches).
-        warm = _query_columns(N_CLIENTS, seed=5)
-        for q in warm:
+        for q in _query_columns(N_CLIENTS, seed=5):
             locked.search(q, K)
+        for q in _query_columns(N_CLIENTS, seed=6):
             service.search([q], K)
         r = 0
-        while r < rounds or (max(speedups) < 3.0 and r < max_rounds):
-            queries = _query_columns(n_requests, seed=11 + r)
-            t_locked = run_clients(lambda q: locked.search(q, K), queries)
-            t_batched = run_clients(lambda q: service.search([q], K), queries)
+        while r < ROUNDS or (max(speedups) < 3.0 and r < MAX_ROUNDS):
+            t_locked = run_clients(
+                lambda q: locked.search(q, K), _query_columns(n_requests, seed=11 + 2 * r)
+            )
+            t_batched = run_clients(
+                lambda q: service.search([q], K), _query_columns(n_requests, seed=12 + 2 * r)
+            )
             speedups.append(t_locked / t_batched)
             times.append((t_locked, t_batched))
             r += 1
@@ -202,8 +140,8 @@ def check_concurrent_throughput(
     print(
         f"throughput: {N_CLIENTS} clients x {requests_per_client} searches — "
         f"locked {t_locked:.2f}s vs micro-batched {t_batched:.2f}s "
-        f"(best paired round of {len(speedups)}: {speedup:.1f}x; all "
-        f"{'/'.join(f'{s:.1f}x' for s in speedups)}, batched_ratio "
+        f"(best paired round of {len(speedups)}: {speedup:.2f}x; all "
+        f"{'/'.join(f'{s:.2f}x' for s in speedups)}, batched_ratio "
         f"{stats['batched_ratio']:.2f}, p50 {stats['latency_p50_ms']:.1f} ms, "
         f"p99 {stats['latency_p99_ms']:.1f} ms)"
     )
@@ -211,144 +149,3 @@ def check_concurrent_throughput(
         f"expected >= 3x micro-batching speedup over per-request locking "
         f"in the best of {len(speedups)} paired rounds, got {speedups}"
     )
-    return {
-        "t_locked_s": t_locked,
-        "t_batched_s": t_batched,
-        "speedup": speedup,
-        "speedups": speedups,
-        "batched_ratio": stats["batched_ratio"],
-        "latency_p50_ms": stats["latency_p50_ms"],
-        "latency_p99_ms": stats["latency_p99_ms"],
-    }
-
-
-def check_snapshot_consistency(storm_cycles: int, storm_searches: int) -> dict:
-    """Claim 3: zero torn reads while an ingest/evict storm runs."""
-    corpus = make_gds()
-    gem = _fitted(corpus)
-    index = gem.build_index(corpus)
-    group_size = 4
-    rng = np.random.default_rng(3)
-    # Each group: near-duplicates of one distinctive base column, ingested
-    # and evicted as one atomic op. A query for the base must see all
-    # members or none.
-    bases = [
-        NumericColumn(f"base{g}", rng.normal(1000 * (g + 1), 1.0, 80))
-        for g in range(3)
-    ]
-    groups = [
-        [
-            NumericColumn(f"g{g}:{j}", bases[g].values + rng.normal(0, 1e-3, bases[g].values.size))
-            for j in range(group_size)
-        ]
-        for g in range(3)
-    ]
-    group_ids = [[c.name for c in group] for group in groups]
-
-    service = GemService(gem, index, batch_window_ms=2, max_batch=32, max_workers=2)
-    try:
-        for g in range(3):
-            service.ingest(group_ids[g], groups[g])
-        # Setup validity: with everything present, each base retrieves
-        # exactly its own full group.
-        for g in range(3):
-            hits = service.search([bases[g]], group_size)
-            assert set(hits.ids[0]) == set(group_ids[g]), (
-                "setup: group embeddings are not separable enough"
-            )
-
-        torn: list[tuple] = []
-        stop = threading.Event()
-
-        def searcher(seed: int) -> None:
-            local = np.random.default_rng(seed)
-            for _ in range(storm_searches):
-                g = int(local.integers(0, 3))
-                hits = service.search([bases[g]], group_size)
-                members = sum(1 for cid in hits.ids[0] if cid in set(group_ids[g]))
-                if members not in (0, group_size):
-                    torn.append((g, members, tuple(hits.ids[0])))
-                if stop.is_set():
-                    break
-
-        def writer() -> None:
-            for cycle in range(storm_cycles):
-                g = cycle % 3
-                service.evict(group_ids[g])
-                service.ingest(group_ids[g], groups[g])
-
-        searchers = [threading.Thread(target=searcher, args=(s,)) for s in range(4)]
-        storm = threading.Thread(target=writer)
-        for t in searchers:
-            t.start()
-        storm.start()
-        storm.join()
-        stop.set()
-        for t in searchers:
-            t.join()
-        stats = service.metrics.snapshot()
-    finally:
-        service.close()
-
-    assert not torn, f"torn reads observed: {torn[:5]}"
-    print(
-        f"consistency: {stats['requests_by_op'].get('search', 0)} searches "
-        f"during {storm_cycles} evict+re-ingest cycles, 0 torn reads "
-        f"({stats['snapshot_publishes']} snapshots published)"
-    )
-    return {
-        "searches": stats["requests_by_op"].get("search", 0),
-        "write_cycles": storm_cycles,
-        "snapshot_publishes": stats["snapshot_publishes"],
-        "torn_reads": len(torn),
-    }
-
-
-# ------------------------------------------------------- pytest entry points
-
-def bench_batched_matches_solo_bitwise():
-    check_batched_bit_identity()
-
-
-def bench_concurrent_throughput_over_locking():
-    check_concurrent_throughput(QUICK["requests_per_client"])
-
-
-def bench_zero_torn_reads_under_write_storm():
-    check_snapshot_consistency(QUICK["storm_cycles"], QUICK["storm_searches"])
-
-
-# --------------------------------------------------------------- script mode
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI profile: fewer requests per client and storm cycles; all "
-        "three claims still gate",
-    )
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="write the measurements to PATH as JSON (nightly artifact)",
-    )
-    args = parser.parse_args(argv)
-    cfg = QUICK if args.quick else FULL
-    results = {
-        "profile": "quick" if args.quick else "full",
-        "bit_identity": check_batched_bit_identity(),
-        "throughput": check_concurrent_throughput(cfg["requests_per_client"]),
-        "consistency": check_snapshot_consistency(cfg["storm_cycles"], cfg["storm_searches"]),
-    }
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=2)
-        print(f"wrote {args.json}")
-    print("bench_serve: all checks passed")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -33,12 +33,13 @@ _COMPOSITIONS = ("concatenation", "aggregation", "autoencoder")
 # (the serving policy that moved to GemService, the index settings that
 # moved to GemIndex, the removed fit-engine switch, warm-started BIC sweep
 # and per-column thread count, the fit chunk size, now only a
-# GaussianMixture argument, and the transform chunk size, now fixed); none
-# is part of the model fingerprint, so they are dropped on read without a
-# warning.
+# GaussianMixture argument, the transform chunk size, now fixed, and the
+# signature-cache switch, now always on in stacked mode); none is part of
+# the model fingerprint, so they are dropped on read without a warning.
 _RETIRED_KEYS = frozenset(
     {
         "batch_size",
+        "cache_signatures",
         "fit_batch_size",
         "fit_engine",
         "index_backend",
@@ -104,10 +105,6 @@ class GemConfig:
     fit_mode:
         ``"stacked"`` fits one GMM on all values (paper §3.2);
         ``"per_column"`` fits a small GMM per column (ablation).
-    cache_signatures:
-        Memoise pooled signature rows by column content hash, so columns
-        repeated within a corpus or across ``transform`` calls are scored
-        once (``fit_mode="stacked"`` only; the cache is cleared on refit).
     value_transform:
         Optional transform applied to values before GMM fitting: ``"none"``
         (paper), ``"log_squash"`` (sign(x)·log1p|x|, as Squashing_* use), or
@@ -149,7 +146,6 @@ class GemConfig:
     signature_kind: str = "responsibility"
     normalization: str = "l1"
     fit_mode: str = "stacked"
-    cache_signatures: bool = True
     value_transform: str = "none"
     composition: str = "concatenation"
     balance_blocks: bool = True

@@ -118,9 +118,7 @@ class GemEmbedder:
         self._signature_balance: float | None = None
         self._block_norms: list[float] | None = None
         self._signature_cache: SignatureCache | None = (
-            SignatureCache()
-            if cfg.cache_signatures and cfg.fit_mode == "stacked"
-            else None
+            SignatureCache() if cfg.fit_mode == "stacked" else None
         )
 
     # ------------------------------------------------------------------ fit
@@ -189,9 +187,7 @@ class GemEmbedder:
         ``raw_feats`` is fit's per-column statistics matrix, reused here so
         freezing adds no second statistics pass. The mixture scoring pass
         it does need is memoised by the signature cache and reused by the
-        next ``transform`` when ``cache_signatures`` is on (the default);
-        with the cache off it is a genuine extra scoring pass — small next
-        to the EM fit itself.
+        next ``transform`` of the fit corpus.
         """
         cfg = self.config
         self._signature_balance = None
@@ -347,19 +343,16 @@ class GemEmbedder:
         """Raw mean component probabilities per column (pre-normalisation).
 
         Scoring streams over fixed column-aligned chunks
-        (:func:`~repro.core.signature.mean_component_probabilities`) and,
-        with ``config.cache_signatures``, memoises rows by column content
-        hash so repeated columns in a lake are scored once.
+        (:func:`~repro.core.signature.mean_component_probabilities`), and
+        rows are memoised by column content hash, so repeated columns in a
+        lake are scored once.
         """
         self._check_fitted()
         cfg = self.config
         if cfg.fit_mode != "stacked":
             values = [self._apply_value_transform(c.values) for c in corpus]
             return self._per_column_parameters(values)
-        assert self.gmm_ is not None
-        if self._signature_cache is None:
-            values = [self._apply_value_transform(c.values) for c in corpus]
-            return mean_component_probabilities(self.gmm_, values, kind=cfg.signature_kind)
+        assert self.gmm_ is not None and self._signature_cache is not None
         for i, c in enumerate(corpus):
             # Checked here so the error names the corpus index even when
             # only a subset of columns reaches the scorer below.
@@ -369,26 +362,20 @@ class GemEmbedder:
                     "one value to pool a signature"
                 )
         keys = [array_fingerprint(c.values) for c in corpus]
-        cached = [self._signature_cache.get(key) for key in keys]
-        # First corpus position per distinct missing key: duplicates within
+        rows = [self._signature_cache.get(key) for key in keys]
+        # One corpus position per distinct missing key: duplicates within
         # the corpus are scored once too.
-        to_score: dict[str, int] = {}
-        for i, (key, row) in enumerate(zip(keys, cached)):
-            if row is None and key not in to_score:
-                to_score[key] = i
-        fresh_rows: dict[str, np.ndarray] = {}
-        if to_score:
-            values = [
-                self._apply_value_transform(corpus[i].values) for i in to_score.values()
-            ]
-            fresh = mean_component_probabilities(self.gmm_, values, kind=cfg.signature_kind)
-            for key, row in zip(to_score, fresh):
-                self._signature_cache.put(key, row)
-                fresh_rows[key] = row
-        out = np.empty((len(corpus), self.gmm_.n_components))
-        for i, (key, row) in enumerate(zip(keys, cached)):
-            out[i] = row if row is not None else fresh_rows[key]
-        return out
+        to_score = {key: i for i, (key, row) in enumerate(zip(keys, rows)) if row is None}
+        if not to_score:
+            return np.array(rows)
+        values = [self._apply_value_transform(corpus[i].values) for i in to_score.values()]
+        fresh = mean_component_probabilities(self.gmm_, values, kind=cfg.signature_kind)
+        for key, row in zip(to_score, fresh):
+            self._signature_cache.put(key, row)
+        if len(to_score) == len(keys):
+            return fresh  # every column was missing and distinct: rows in corpus order
+        fresh_rows = dict(zip(to_score, fresh))
+        return np.array([fresh_rows[key] if row is None else row for key, row in zip(keys, rows)])
 
     def _per_column_parameters(self, values: list[np.ndarray]) -> np.ndarray:
         """Per-column GMM parameter embedding (the ``fit_mode='per_column'``

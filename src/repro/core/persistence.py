@@ -4,10 +4,9 @@ A fitted :class:`~repro.core.gem.GemEmbedder` is a corpus-level model (GMM
 parameters + feature standardisation + frozen balance statistics +
 config); deployments fit once over a data lake and embed new columns
 later. ``save_gem`` / ``load_gem`` round-trip everything through a single
-``.npz`` archive (config as embedded JSON, arrays natively). The
-transform-engine knob ``cache_signatures`` and the EM settings travel with
-the config, so a reloaded embedder caches and refits the same way; the
-signature cache itself is transient and starts empty on load.
+``.npz`` archive (config as embedded JSON, arrays natively). The EM
+settings travel with the config, so a reloaded embedder refits the same
+way; the signature cache is transient and starts empty on load.
 ``load_gem`` refuses an archive without a content checksum
 (:exc:`CorruptArchiveError`) and a stacked-mode archive without the
 frozen balance statistics its config needs (:exc:`ValueError`).
@@ -31,10 +30,10 @@ from repro.core.gem import GemEmbedder, _balance_structure
 from repro.gmm.model import GaussianMixture
 
 # Config fields that change what a fitted embedder outputs at transform
-# time. Engine/fit-time knobs (cache_signatures, n_init, …) are
-# deliberately absent: they shape *how* the frozen parameters below were
-# obtained or are applied, not the embedding space itself, so two embedders
-# differing only in those serve interchangeable rows. Exception: under
+# time. Fit-time knobs (n_init, tol, …) are deliberately absent: they
+# shape *how* the frozen parameters below were obtained, not the embedding
+# space itself, so two embedders differing only in those serve
+# interchangeable rows. Exception: under
 # fit_mode="per_column" the GMMs are fitted *at transform time*, so the EM
 # knobs do shape the output there — _PER_COLUMN_FIT_FIELDS covers them.
 _FINGERPRINT_CONFIG_FIELDS = (
@@ -368,7 +367,7 @@ def load_gem(path: str | Path) -> GemEmbedder:
     # this version lacks (or miss ones it has); from_manifest_dict drops
     # unknown keys with a warning — not silently, a typo'd hand-edited
     # key must be noticed — and missing ones fall back to the dataclass
-    # defaults, so knobs like cache_signatures round-trip when present.
+    # defaults.
     config = GemConfig.from_manifest_dict(cfg_dict)
     if config.fit_mode == "stacked":
         joint, multi = _balance_structure(config)

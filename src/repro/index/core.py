@@ -587,7 +587,7 @@ class GemIndex:
         queries: np.ndarray,
         k: int,
         *,
-        exclude_ids: Sequence[str | None] | None = None,
+        exclude_ids: Sequence[str] | None = None,
         n_probe: int | None = None,
         pq_rerank: int | None = None,
     ) -> SearchResult:
@@ -603,13 +603,10 @@ class GemIndex:
             (minus one under exclusion, mirroring ``top_k_neighbors``).
         exclude_ids:
             Optional per-query stored id to exclude (length ``n_queries``)
-            — self-exclusion for corpus-vs-itself retrieval. ``None``
-            entries and ids not in the index exclude nothing. When every
-            id resolves, ``k`` is capped at ``n - 1`` (mirroring
-            ``top_k_neighbors``); in a mixed batch the cap stays at ``n``
-            so queries without a resolved exclusion never lose their k-th
-            neighbour — a query *with* one then pads its final slot
-            (position ``-1``, score ``-inf``) when ``k`` reaches ``n``.
+            — self-exclusion for corpus-vs-itself retrieval. Every entry
+            must name a stored id (``ValueError`` naming the first that
+            does not), and ``k`` is capped at ``n - 1``, mirroring
+            ``top_k_neighbors``.
         n_probe / pq_rerank:
             Per-call overrides of the index's configured probe width and
             PQ re-rank depth — the serving layer's degradation lever:
@@ -623,28 +620,17 @@ class GemIndex:
         k = check_positive_int(k, "k")
         n = len(self)
         exclude_positions = None
+        k_eff = min(k, n)
         if exclude_ids is not None:
             exclude_ids = list(exclude_ids)
             if len(exclude_ids) != Q.shape[0]:
                 raise ValueError(f"{len(exclude_ids)} exclude_ids for {Q.shape[0]} queries")
-            exclude_positions = np.array(
-                [self._pos.get(cid, -1) for cid in exclude_ids], dtype=np.intp
-            )
-            resolved = exclude_positions >= 0
-            if not resolved.any():
-                # Nothing actually resolves to a stored row: capping k would
-                # silently drop every query's k-th neighbour.
-                exclude_positions = None
-                k_eff = min(k, n)
-            elif resolved.all():
-                k_eff = min(k, n - 1)
-            else:
-                # Mixed batch: capping at n - 1 would cost every
-                # unresolved query its k-th neighbour, so keep the full
-                # range and let resolved queries pad their final slot.
-                k_eff = min(k, n)
-        else:
-            k_eff = min(k, n)
+            try:
+                positions = [self._pos[cid] for cid in exclude_ids]
+            except KeyError as exc:
+                raise ValueError(f"exclude_ids entry {exc.args[0]!r} is not a stored id") from None
+            exclude_positions = np.array(positions, dtype=np.intp)
+            k_eff = min(k, n - 1)
         if k_eff < 1:
             empty = np.empty((Q.shape[0], 0))
             return SearchResult(

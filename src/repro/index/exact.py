@@ -72,9 +72,8 @@ def blocked_topk(
         Stored rows scored per matmul. Purely a memory knob — any value
         returns bit-identical results.
     exclude_positions:
-        Optional ``(n_queries,)`` stored position to mask per query (-1 for
-        none): that entry scores ``-inf`` so a query never retrieves
-        itself.
+        Optional ``(n_queries,)`` stored position to mask per query: that
+        entry scores ``-inf`` so a query never retrieves itself.
     dead:
         Optional ``(n,)`` boolean mask of tombstoned storage slots (rows
         removed but not yet compacted); masked slots score ``-inf`` for

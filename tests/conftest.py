@@ -6,6 +6,8 @@ so the whole suite stays fast; the benchmarks exercise realistic sizes.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,22 @@ def ambiguous_corpus() -> ColumnCorpus:
     """~30 columns over 6 types sharing coarse headers (WDC-style)."""
     types = [t for t in default_type_library() if t.coarse in ("score", "rating")][:6]
     return make_corpus("ambig", types, 30, header_granularity="coarse", random_state=1)
+
+
+@pytest.fixture(scope="session")
+def peak_bytes():
+    """Callable ``peak_bytes(fn)``: the peak traced allocation, in bytes,
+    while ``fn`` runs (tracemalloc, so the figure is clock-free)."""
+
+    def _peak_bytes(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return _peak_bytes
 
 
 @pytest.fixture

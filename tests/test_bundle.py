@@ -157,13 +157,13 @@ class TestUsageErrors:
         assert main(["fit", str(tmp_path / "b"), "--corpus", "synthetic:bogus"]) == 2
 
     def test_unknown_config_key_exits_2(self, tmp_path):
-        assert (
-            main(["fit", str(tmp_path / "b"), "--corpus", SPEC, "--set",
-                  "not_a_field=1"]) == 2
-        )
+        # A retired field is no key at all.
+        for setting in ("not_a_field=1", "cache_signatures=false"):
+            assert main(["fit", str(tmp_path / "b"), "--corpus", SPEC, "--set", setting]) == 2
 
     def test_bad_grid_exits_2(self, bundle):
         assert main(["sweep", str(bundle), "--grid", "not_a_field=1,2"]) == 2
+        assert main(["sweep", str(bundle), "--grid", "cache_signatures=true,false"]) == 2
 
     def test_index_settings_pass_through_and_backend_given_twice_exits_2(self, bundle):
         assert main(["index", str(bundle), "--backend", "ivf", "--set", "n_probe=4"]) == 0

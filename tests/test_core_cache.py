@@ -130,10 +130,14 @@ class TestEmbedderCaching:
         assert np.array_equal(first, second)
 
     def test_cache_disabled_matches_enabled(self, tiny_corpus):
-        on = GemEmbedder(config=GemConfig.fast(**FAST, cache_signatures=True))
-        off = GemEmbedder(config=GemConfig.fast(**FAST, cache_signatures=False))
-        assert np.allclose(on.fit_transform(tiny_corpus), off.fit_transform(tiny_corpus))
-        assert off._signature_cache is None
+        # The cache is always on in stacked mode; its oracle pools the same
+        # values directly, without it. fit has cached every row already,
+        # so the read below comes from the cache alone.
+        gem = GemEmbedder(config=GemConfig.fast(**FAST)).fit(tiny_corpus)
+        direct = mean_component_probabilities(gem.gmm_, [c.values for c in tiny_corpus])
+        hits = gem._signature_cache.hits
+        assert np.array_equal(gem.mean_probabilities(tiny_corpus), direct)
+        assert gem._signature_cache.hits == hits + len(tiny_corpus)
 
     def test_refit_replaces_stale_cache_rows(self, fitted, tiny_corpus, ambiguous_corpus):
         fitted.transform(tiny_corpus)

@@ -29,7 +29,7 @@ INDEX_ARGS = {
     "index_dtype": "dtype",
 }
 # Retired GemConfig fields that no setting replaced.
-RETIRED_FIELDS = {"n_workers", "batch_size"}
+RETIRED_FIELDS = {"n_workers", "batch_size", "cache_signatures"}
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,7 @@ class TestConfig:
             ("batch_size", 0),
             ("batch_size", -5),
             ("n_workers", 0),
+            ("cache_signatures", False),
             ("serve_batch_window_ms", -0.5),
             ("serve_max_batch", 0),
             ("serve_max_workers", 0),
@@ -277,8 +278,9 @@ class TestBatchedTransform:
     def test_transform_chunks_at_the_fit_chunk_size(self, tiny_corpus_module, monkeypatch):
         # No option chooses the transform's chunk size: it is the fit's.
         assert "batch_size" not in {f.name for f in dataclasses.fields(GemConfig)}
-        gem = GemEmbedder(config=GemConfig.fast(**FAST, cache_signatures=False))
+        gem = GemEmbedder(config=GemConfig.fast(**FAST))
         gem.fit(tiny_corpus_module)
+        gem._signature_cache.clear()  # fit cached every row; score them again
         seen = []
         chunks = signature.column_chunks
 

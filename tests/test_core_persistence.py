@@ -110,19 +110,6 @@ class TestRoundtrip:
 
 
 class TestBatchingFieldsRoundtrip:
-    def test_batching_knobs_survive(self, tiny_corpus, tmp_path):
-        # cache_signatures is the transform's one remaining knob; the chunk
-        # size is fixed, so no batching field is left to persist.
-        cfg = GemConfig.fast(n_components=6, n_init=1, cache_signatures=False)
-        gem = GemEmbedder(config=cfg)
-        gem.fit(tiny_corpus)
-        path = tmp_path / "gem.npz"
-        save_gem(gem, path)
-        restored = load_gem(path)
-        assert restored.config == cfg
-        assert restored.config.cache_signatures is False
-        assert restored._signature_cache is None
-
     def test_chunked_transform_bit_identical_after_reload(self, tiny_corpus, tmp_path):
         # Every transform chunks; a reloaded model's rows are bit-identical.
         cfg = GemConfig.fast(n_components=6, n_init=1)
@@ -156,11 +143,12 @@ class TestBatchingFieldsRoundtrip:
 
     def test_retired_serve_keys_load_silently(self):
         # Archives and manifests written while serving policy, index
-        # settings and the removed fit switches lived on GemConfig carry
-        # these keys; they load without a warning, while any other unknown
-        # key still warns.
+        # settings, the removed fit switches and the transform's chunk size
+        # and cache switch lived on GemConfig carry these keys; they load
+        # without a warning, while any other unknown key still warns.
         retired = dict(
             batch_size=4096,
+            cache_signatures=False,
             fit_engine="serial",
             warm_start_bic=True,
             n_workers=3,
@@ -196,14 +184,14 @@ class TestBatchingFieldsRoundtrip:
         path = tmp_path / "gem.npz"
         save_gem(gem, path)
         # Rewrite the embedded config as an older version would have
-        # written it: no cache switch or BIC candidates, the retired
-        # transform chunk size, plus a key this version never had.
+        # written it: no BIC candidates, the retired transform chunk size
+        # and cache switch, plus a key this version never had.
         with np.load(path) as payload:
             arrays = {k: payload[k] for k in payload.files}
         cfg_dict = json.loads(bytes(arrays["config_json"]).decode("utf-8"))
-        for key in ("cache_signatures", "bic_candidates"):
-            cfg_dict.pop(key)
+        cfg_dict.pop("bic_candidates")
         cfg_dict["batch_size"] = None
+        cfg_dict["cache_signatures"] = True
         cfg_dict["retired_future_knob"] = 42
         arrays["config_json"] = np.frombuffer(json.dumps(cfg_dict).encode("utf-8"), dtype=np.uint8)
         # Re-sign the edited payload: read_archive refuses an archive whose
@@ -214,7 +202,8 @@ class TestBatchingFieldsRoundtrip:
         with pytest.warns(RuntimeWarning, match="retired_future_knob") as caught:
             restored = load_gem(path)
         assert all("batch_size" not in str(w.message) for w in caught)
-        assert restored.config.cache_signatures is True  # dataclass default
+        assert all("cache_signatures" not in str(w.message) for w in caught)
+        assert restored.config.bic_candidates == GemConfig().bic_candidates
         assert np.allclose(restored.transform(tiny_corpus), gem.transform(tiny_corpus))
 
 

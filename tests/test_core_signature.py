@@ -70,7 +70,9 @@ class TestMeanComponentProbabilities:
         per_value = fitted_gmm.predict_proba(np.concatenate(cols).reshape(-1, 1))
         start = 0
         for i, col in enumerate(cols):
-            assert np.allclose(M[i], per_value[start : start + col.size].mean(axis=0))
+            assert np.allclose(
+                M[i], per_value[start : start + col.size].mean(axis=0), atol=1e-10, rtol=0
+            )
             start += col.size
 
 
@@ -210,6 +212,51 @@ class TestDistinctValueScoring:
         assert all(x.size <= WINDOW_CHUNKS * batch_size for x in calls)
         assert all(np.unique(x).size == x.size for x in calls)
         assert sum(x.size for x in calls) < sum(c.size for c in columns)
+
+
+def _lake_columns(n_columns, rng):
+    """Many small columns: the lake-scale shape where pooling dominates."""
+    return [
+        rng.normal(rng.uniform(0, 60), rng.uniform(0.5, 4), rng.integers(6, 12))
+        for _ in range(n_columns)
+    ]
+
+
+class TestTransformMemory:
+    """The pooling pass holds one scoring window's distinct-value table
+    (at most WINDOW_CHUNKS chunks of rows), one chunk's gathered rows and
+    one scoring piece: O(batch_size * m), whatever the corpus size."""
+
+    @pytest.fixture(scope="class")
+    def gmm(self):
+        rng = np.random.default_rng(0)
+        stack = np.concatenate(
+            [rng.normal(10, 3, 4000), rng.normal(45, 5, 4000), rng.uniform(0, 60, 4000)]
+        )
+        return GaussianMixture(24, n_init=1, random_state=0).fit(stack)
+
+    def test_peak_bounded_by_the_chunk(self, gmm, peak_bytes):
+        columns = _lake_columns(6000, np.random.default_rng(1))
+        n_values = sum(c.size for c in columns)
+        one_chunk = peak_bytes(
+            lambda: mean_component_probabilities(gmm, columns, batch_size=n_values)
+        )
+        chunked = peak_bytes(lambda: mean_component_probabilities(gmm, columns))
+        assert chunked < one_chunk / 4
+        assert chunked < 16 * FitPlan.DEFAULT_BATCH * 24 * 8 + 2 * n_values * 8
+
+    def test_peak_flat_as_the_corpus_grows(self, gmm, peak_bytes):
+        rng = np.random.default_rng(2)
+        small, large = _lake_columns(2000, rng), _lake_columns(8000, rng)
+
+        def working_set(columns):
+            # Less the O(n_values) stacked input and the (n_columns, m) output.
+            n_values = sum(c.size for c in columns)
+            peak = peak_bytes(lambda: mean_component_probabilities(gmm, columns))
+            return peak - 2 * n_values * 8 - len(columns) * 24 * 8
+
+        small_set, large_set = working_set(small), working_set(large)
+        assert large_set < 1.5 * max(small_set, FitPlan.DEFAULT_BATCH * 24 * 8)
 
 
 class TestColumnChunks:

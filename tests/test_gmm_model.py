@@ -1,8 +1,6 @@
 """Tests for the from-scratch GaussianMixture: EM correctness, stability,
 model selection and the paper's usage patterns."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,7 +216,7 @@ class TestChunkedInference:
         self.assert_slices_match(getattr(gm, method), long, 1000)
 
     @pytest.mark.parametrize("method", ["predict_proba", "component_pdf"])
-    def test_scratch_is_one_piece(self, method):
+    def test_scratch_is_one_piece(self, method, peak_bytes):
         # Beyond the returned (n, m) array, a call holds one
         # (DEFAULT_BATCH, 1, m) scratch piece and O(DEFAULT_BATCH) vectors,
         # never a second (n, 1, m) buffer.
@@ -226,13 +224,8 @@ class TestChunkedInference:
         gm = GaussianMixture(12, n_init=1, random_state=0).fit(rng.normal(0, 5, 2000))
         X = rng.normal(0, 5, (20_000, 1))
         piece = FitPlan.DEFAULT_BATCH * gm.n_components * 8
-        tracemalloc.start()
-        try:
-            out = getattr(gm, method)(X)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < out.nbytes + 3 * piece
+        out_bytes = X.shape[0] * gm.n_components * 8
+        assert peak_bytes(lambda: getattr(gm, method)(X)) < out_bytes + 3 * piece
 
 
 class TestExtremeOutliers:

@@ -82,26 +82,45 @@ class TestExactBackendMatchesDense:
         X = _embeddings(rng)
         U = unit_rows(X)
         base_pos, base_scores = blocked_topk(U, U, 7, block_size=13, query_block=1024)
+        dense_top, dense_scores = _dense_reference(X, 7)
         for qb in (1, 3, 50, 119):
             pos, scores = blocked_topk(U, U, 7, block_size=13, query_block=qb)
             assert np.array_equal(pos, base_pos)
             assert np.array_equal(scores, base_scores)
+            # Each query block masks its own slice of the exclusions.
+            pos, scores = blocked_topk(
+                U, U, 7, block_size=13, exclude_positions=np.arange(len(U)), query_block=qb
+            )
+            assert np.array_equal(pos, dense_top)
+            assert np.array_equal(scores, dense_scores)
 
-    def test_never_allocates_dense_matrix(self, rng):
-        import tracemalloc
-
+    def test_never_allocates_dense_matrix(self, rng, peak_bytes):
         n, d, block = 1500, 12, 64
         X = rng.normal(size=(n, d))
         index = GemIndex(d, backend="exact", block_size=block)
         index.add(_ids(n), X)
         queries = X[:64]
         index.search(queries, 10)  # warm up
-        tracemalloc.start()
-        index.search(queries, 10)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        peak = peak_bytes(lambda: index.search(queries, 10))
         # Working set is O(query_block x block_size), nowhere near (n, n).
         assert peak < n * n * 8 / 4
+
+    @pytest.mark.parametrize("n", [2_000, 4_000])
+    def test_search_memory_flat_as_corpus_grows(self, n, peak_bytes):
+        # Peak search memory holds still while a corpus of 32-dim rows
+        # grows 10x, up to 40k rows, where the dense path's (n, n) matrix
+        # would take 12.8 GB.
+        def peak_at(n_rows):
+            X = _embeddings(np.random.default_rng(1), n=n_rows, d=32)
+            index = GemIndex(32, block_size=2_048)
+            index.add(_ids(n_rows), X)
+            queries = X[:256]
+            index.search(queries, 10)  # warm up allocator pools
+            return peak_bytes(lambda: index.search(queries, 10))
+
+        small, large = peak_at(n), peak_at(10 * n)
+        assert large < 1.5 * small + 4e6, f"search memory grew: {small} -> {large} bytes"
+        assert large < (10 * n) ** 2 * 8 / 50
 
     def test_without_exclusion_self_is_top_hit(self, rng):
         X = rng.normal(size=(30, 6))
@@ -424,35 +443,30 @@ class TestEdgeCases:
         assert index.search(X, 100).k == 4
         assert index.search(X, 100, exclude_ids=_ids(4)).k == 3
 
-    def test_unresolved_exclusions_do_not_cost_a_neighbour(self, rng):
-        # Regression: k used to be capped at n-1 whenever exclude_ids was
-        # passed, even when no excluded id was stored — every query
-        # silently lost its k-th neighbour.
+    def test_unresolved_exclusions_rejected(self, rng):
+        # Every exclusion names a stored row: an unknown id or None is a
+        # caller error, not a query that silently excludes nothing.
         X = rng.normal(size=(3, 4))
         index = GemIndex(4)
         index.add(_ids(3), X)
-        result = index.search(X, 3, exclude_ids=["not-stored"] * 3)
-        assert result.k == 3
-        assert np.array_equal(result.positions, index.search(X, 3).positions)
-        none_result = index.search(X, 3, exclude_ids=[None, None, None])
-        assert none_result.k == 3
+        with pytest.raises(ValueError, match="'not-stored' is not a stored id"):
+            index.search(X, 3, exclude_ids=["not-stored"] * 3)
+        with pytest.raises(ValueError, match="None is not a stored id"):
+            index.search(X, 3, exclude_ids=[None, None, None])
 
-    def test_mixed_exclusions_do_not_cost_a_neighbour(self, rng):
-        # A mixed batch must not cap k batch-wide either: unresolved
-        # queries keep all n neighbours; the resolved query pads its final
-        # slot instead.
+    def test_mixed_exclusions_rejected(self, rng):
+        # One unresolved entry fails the whole batch, so k is always
+        # capped at n - 1 under exclusion.
         X = rng.normal(size=(3, 4))
         index = GemIndex(4)
         index.add(_ids(3), X)
-        result = index.search(X, 3, exclude_ids=["c0", "nope", None])
-        assert result.k == 3
-        plain = index.search(X, 3)
-        assert np.array_equal(result.positions[1], plain.positions[1])
-        assert np.array_equal(result.positions[2], plain.positions[2])
-        # Query 0: its own row excluded, 2 real neighbours + 1 pad slot.
-        assert 0 not in set(result.positions[0][:2])
-        assert result.positions[0, 2] == -1
-        assert np.isneginf(result.scores[0, 2])
+        with pytest.raises(ValueError, match="'nope' is not a stored id"):
+            index.search(X, 3, exclude_ids=["c0", "nope", "c2"])
+        with pytest.raises(ValueError, match="None is not a stored id"):
+            index.search(X, 3, exclude_ids=["c0", "c1", None])
+        index.remove(["c1"])
+        with pytest.raises(ValueError, match="'c1' is not a stored id"):
+            index.search(X, 3, exclude_ids=_ids(3))
 
     def test_zero_rows_stored_and_queried(self):
         X = np.zeros((3, 4))

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import GemEmbedder, save_gem
+from repro.core import GemEmbedder, load_gem, save_gem
 from repro.data import ColumnCorpus, NumericColumn, make_gds
 from repro.index import StaleIndexError, save_index
 from repro.serve import (
@@ -188,32 +188,40 @@ class TestServiceReads:
         assert np.array_equal(found.positions, direct.positions)
         assert np.array_equal(found.scores, direct.scores)
 
-    def test_concurrent_mixed_requests_bit_identical_to_sequential(self, fitted, corpus):
-        cols = _columns(3, 24)
+    def test_concurrent_mixed_requests_bit_identical_to_sequential(self, fitted, corpus, tmp_path):
+        # The solo references come from a reloaded copy of the model, so
+        # every query column misses the service's signature cache and is
+        # pooled in whatever batch the micro-batcher formed.
+        cols = _columns(3, 32, size=60)
         index = fitted.build_index(corpus)
-        solo_rows = [fitted.transform(ColumnCorpus([c])) for c in cols]
-        solo_hits = [index.search(r, 4) for r in solo_rows]
-        with GemService(fitted, index, batch_window_ms=20, max_batch=8) as svc:
+        save_gem(fitted, tmp_path / "gem.npz")
+        copy = load_gem(tmp_path / "gem.npz")
+        solo_rows = [copy.transform(ColumnCorpus([c])) for c in cols]
+        solo_hits = [index.search(r, 5) for r in solo_rows]
+        misses = fitted._signature_cache.misses
+        with GemService(fitted, index, batch_window_ms=25, max_batch=16, max_workers=2) as svc:
             embeds = [None] * len(cols)
             hits = [None] * len(cols)
 
             def client(i):
                 embeds[i] = svc.embed([cols[i]])
-                hits[i] = svc.search([cols[i]], 4)
+                hits[i] = svc.search([cols[i]], 5)
 
-            threads = [
-                threading.Thread(target=client, args=(i,)) for i in range(len(cols))
-            ]
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(len(cols))]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=60)
+                assert not t.is_alive()
             stats = svc.metrics.snapshot()
         for i in range(len(cols)):
-            assert np.array_equal(embeds[i][0], solo_rows[i][0]), i
+            assert np.array_equal(embeds[i], solo_rows[i]), i
             assert np.array_equal(hits[i].positions, solo_hits[i].positions), i
             assert np.array_equal(hits[i].scores, solo_hits[i].scores), i
+            assert np.array_equal(hits[i].ids, solo_hits[i].ids), i
         assert stats["requests"] == 2 * len(cols)
+        assert stats["batched_ratio"] > 0, "no request ever shared a batch"
+        assert fitted._signature_cache.misses - misses == len(cols)
 
     def test_corpus_input_accepted(self, fitted, corpus):
         with _service(fitted, corpus) as svc:
@@ -307,53 +315,56 @@ class TestServiceWrites:
 class TestSnapshotConsistency:
     def test_readers_never_see_a_torn_write_batch(self, fitted, corpus):
         # Groups of near-identical columns ingested/evicted as one op; a
-        # query for the group base must see all members or none.
-        rng = np.random.default_rng(0)
-        group_size = 3
-        bases = [
-            NumericColumn(f"base{g}", rng.normal(500.0 * (g + 1), 1.0, 60))
-            for g in range(2)
-        ]
+        # query for the group base must see all members or none. Four
+        # readers race 150 evict+ingest cycles over three groups of four.
+        rng = np.random.default_rng(3)
+        group_size = 4
+        bases = [NumericColumn(f"base{g}", rng.normal(1000.0 * (g + 1), 1.0, 80)) for g in range(3)]
         groups = [
             [
-                NumericColumn(f"g{g}:{j}", bases[g].values + rng.normal(0, 1e-3, 60))
+                NumericColumn(f"g{g}:{j}", bases[g].values + rng.normal(0, 1e-3, 80))
                 for j in range(group_size)
             ]
-            for g in range(2)
+            for g in range(3)
         ]
         ids = [[c.name for c in group] for group in groups]
-        with _service(fitted, corpus, batch_window_ms=2) as svc:
-            for g in range(2):
+        with _service(fitted, corpus, batch_window_ms=2, max_batch=32, max_workers=2) as svc:
+            for g in range(3):
                 svc.ingest(ids[g], groups[g])
-            for g in range(2):
+            for g in range(3):
                 found = svc.search([bases[g]], group_size)
                 assert set(found.ids[0]) == set(ids[g])
             torn = []
+            stop = threading.Event()
 
             def searcher(seed):
                 local = np.random.default_rng(seed)
-                for _ in range(30):
-                    g = int(local.integers(0, 2))
+                for _ in range(250):
+                    g = int(local.integers(0, 3))
                     found = svc.search([bases[g]], group_size)
                     members = sum(1 for cid in found.ids[0] if cid in set(ids[g]))
                     if members not in (0, group_size):
-                        torn.append((g, members))
+                        torn.append((g, members, tuple(found.ids[0])))
+                    if stop.is_set():
+                        break
 
             def writer():
-                for cycle in range(15):
-                    g = cycle % 2
+                for cycle in range(150):
+                    g = cycle % 3
                     svc.evict(ids[g])
                     svc.ingest(ids[g], groups[g])
 
-            threads = [threading.Thread(target=searcher, args=(s,)) for s in range(3)]
+            threads = [threading.Thread(target=searcher, args=(s,)) for s in range(4)]
             storm = threading.Thread(target=writer)
             for t in threads:
                 t.start()
             storm.start()
-            storm.join()
+            storm.join(timeout=60)
+            stop.set()
             for t in threads:
-                t.join()
-        assert not torn, torn
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in [storm, *threads])
+        assert not torn, torn[:5]
 
     def test_snapshot_method_is_stable_across_writes(self, fitted, corpus):
         with _service(fitted, corpus) as svc:
